@@ -1,9 +1,9 @@
 // Performance microbenchmarks (google-benchmark) for the library's hot
-// paths: index construction, per-method matching (serial and parallel),
-// metrics, redundancy scanning and the simulation itself.
+// paths: index construction, per-method and windowed matching, metrics,
+// redundancy scanning and the simulation itself.
 //
 // Motivated by the paper's §5.5: metadata volume "imposes the need for
-// efficient computing for scalability ... such as parallelization".
+// efficient computing for scalability".
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -69,19 +69,6 @@ void BM_MatcherIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MatcherIndexBuild);
 
-void BM_MatcherIndexBuildParallel(benchmark::State& state) {
-  const auto& store = snapshot().store;
-  parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    core::Matcher matcher(store, pool);
-    benchmark::DoNotOptimize(&matcher);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(store.transfers().size()));
-}
-BENCHMARK(BM_MatcherIndexBuildParallel)->Arg(2)->Arg(4);
-
 void BM_MatchRun(benchmark::State& state) {
   const auto& store = snapshot().store;
   const core::Matcher matcher(store);
@@ -99,26 +86,12 @@ void BM_MatchRun(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchRun)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_MatchRunParallel(benchmark::State& state) {
-  const auto& store = snapshot().store;
-  const core::Matcher matcher(store);
-  parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  const core::ParallelMatchDriver driver(matcher, pool);
-  for (auto _ : state) {
-    const auto result = driver.run(core::MatchOptions::rm2());
-    benchmark::DoNotOptimize(result.matched_job_count());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(store.jobs().size()));
-}
-BENCHMARK(BM_MatchRunParallel)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_WindowedMatch(benchmark::State& state) {
   const auto& store = snapshot().store;
   core::WindowedMatcher::Config config;
   config.window = util::hours(static_cast<double>(state.range(0)));
   config.lookback = util::days(2);
-  const core::WindowedMatcher matcher(store, config);
+  const core::WindowedMatcher matcher(core::Matcher(store), config);
   for (auto _ : state) {
     const auto result = matcher.run(core::MatchOptions::rm2());
     benchmark::DoNotOptimize(result.matched_job_count());

@@ -1,6 +1,7 @@
 #include "core/exact.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,14 +26,14 @@ const char* match_outcome_name(MatchOutcome outcome) noexcept {
 Matcher::Matcher(const telemetry::MetadataStore& store)
     : index_(std::make_shared<const MatchIndex>(store)) {}
 
-Matcher::Matcher(const telemetry::MetadataStore& store,
-                 parallel::ThreadPool& pool)
-    : index_(std::make_shared<const MatchIndex>(store, &pool)) {}
-
 Matcher::Matcher(std::shared_ptr<const MatchIndex> index)
     : index_(std::move(index)) {}
 
 namespace {
+
+/// not_before for unwindowed queries: admits every start time.
+constexpr util::SimTime kNoLowerBound =
+    std::numeric_limits<util::SimTime>::min();
 
 /// The Table-2-style coverage funnel, process-wide and cumulative over
 /// every run/method.  Candidate-stage counters are filled by
@@ -51,7 +52,8 @@ struct FunnelMetrics {
       "Candidates rejected: composite attribute key mismatch");
   obs::Counter& reject_time = obs::Registry::global().counter(
       "pandarus_match_reject_time_total",
-      "Candidates rejected: started after the job ended");
+      "Candidates rejected: started after the job ended or before the "
+      "window's lookback");
   obs::Counter& candidates_accepted = obs::Registry::global().counter(
       "pandarus_match_candidates_accepted_total",
       "Candidates surviving attribute, taskid and time filters");
@@ -106,7 +108,7 @@ bool site_condition(const TransferRecord& t, const JobRecord& j,
 
 const std::vector<std::size_t>& Matcher::collect_candidates(
     std::size_t job_index, const MatchOptions& options,
-    std::size_t* file_rows) const {
+    util::SimTime not_before, std::size_t* file_rows) const {
   // Reused per worker thread: the per-job allocate/free that used to
   // dominate the inner loop is gone.
   thread_local std::vector<std::size_t> scratch;
@@ -124,7 +126,7 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
   // Candidate transfers: attribute-key-matched against any file row of
   // F'_j (one integer compare — lfn equality is structural through the
   // lfn-symbol group, the composite key covers the rest), then
-  // time-filtered (started before the job's end).  Funnel tallies stay
+  // time-filtered (started in [not_before, job end)).  Funnel tallies stay
   // in locals until the single flush below the loop.
   std::uint64_t scanned = 0;
   std::uint64_t rej_taskid = 0;
@@ -145,7 +147,7 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
         ++rej_key;
         continue;
       }
-      if (t.started_at >= job.end_time) {
+      if (t.started_at >= job.end_time || t.started_at < not_before) {
         ++rej_time;
         continue;
       }
@@ -175,6 +177,12 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
 
 MatchedJob Matcher::match_job(std::size_t job_index,
                               const MatchOptions& options) const {
+  return match_job(job_index, options, kNoLowerBound);
+}
+
+MatchedJob Matcher::match_job(std::size_t job_index,
+                              const MatchOptions& options,
+                              util::SimTime not_before) const {
   const telemetry::MetadataStore& store = index_->store();
   const JobRecord& job = store.jobs()[job_index];
   MatchedJob result;
@@ -186,7 +194,7 @@ MatchedJob Matcher::match_job(std::size_t job_index,
   const auto transfers = store.transfers();
   std::size_t file_rows = 0;
   const std::vector<std::size_t>& candidates =
-      collect_candidates(job_index, options, &file_rows);
+      collect_candidates(job_index, options, not_before, &file_rows);
   if (candidates.empty()) {
     (file_rows == 0 ? funnel.jobs_no_file_rows : funnel.jobs_no_candidates)
         .inc();
@@ -233,7 +241,8 @@ MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
 
   MatchDiagnosis diagnosis;
   const std::vector<std::size_t>& candidates =
-      collect_candidates(job_index, options, &diagnosis.file_rows);
+      collect_candidates(job_index, options, kNoLowerBound,
+                         &diagnosis.file_rows);
   if (diagnosis.file_rows == 0) {
     diagnosis.outcome = MatchOutcome::kNoFileRows;
     return diagnosis;

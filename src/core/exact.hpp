@@ -91,11 +91,8 @@ struct MatchDiagnosis {
 /// then reusable across methods and threads (all queries are const).
 class Matcher {
  public:
-  /// Builds the index serially.
+  /// Builds the index.
   explicit Matcher(const telemetry::MetadataStore& store);
-
-  /// Builds the index with the parallel two-pass group-by over `pool`.
-  Matcher(const telemetry::MetadataStore& store, parallel::ThreadPool& pool);
 
   /// Adopts a prebuilt index (shared across matchers without a rebuild).
   explicit Matcher(std::shared_ptr<const MatchIndex> index);
@@ -123,16 +120,22 @@ class Matcher {
   }
 
  private:
-  friend class ParallelMatchDriver;
+  friend class WindowedMatcher;
+
+  /// match_job restricted to transfers that started at or after
+  /// `not_before` — the lower edge of a time-window pre-selection.
+  [[nodiscard]] MatchedJob match_job(std::size_t job_index,
+                                     const MatchOptions& options,
+                                     util::SimTime not_before) const;
 
   /// Candidate construction shared by match_job and diagnose_job:
-  /// attribute-key-matched, taskid-checked (per options), time-filtered,
-  /// deduplicated, ascending.  `file_rows` (optional) receives the count
-  /// of bridging file rows.  Returns a per-thread scratch buffer valid
-  /// until this thread's next call.
+  /// attribute-key-matched, taskid-checked (per options), time-filtered
+  /// to [not_before, job end), deduplicated, ascending.  `file_rows`
+  /// (optional) receives the count of bridging file rows.  Returns a
+  /// per-thread scratch buffer valid until this thread's next call.
   [[nodiscard]] const std::vector<std::size_t>& collect_candidates(
       std::size_t job_index, const MatchOptions& options,
-      std::size_t* file_rows) const;
+      util::SimTime not_before, std::size_t* file_rows) const;
 
   /// The store's index: file rows by (pandaid, jeditaskid), transfers
   /// by lfn symbol, composite attribute keys.  The underlying store

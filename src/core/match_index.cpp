@@ -1,7 +1,6 @@
 #include "core/match_index.hpp"
 
 #include <algorithm>
-#include <future>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -46,83 +45,39 @@ class FlatU64Interner {
   std::uint32_t next_ = 0;
 };
 
-/// Deterministic two-pass group-by into a CSR layout (count ->
-/// column-major prefix sum -> scatter), in the spirit of two-pass
-/// parallel group-by engines.  `emit(i, sink)` assigns item i to zero or
-/// more groups by calling sink(g); it must be pure — it runs once in the
-/// count pass and once in the scatter pass.  Chunks are contiguous item
-/// ranges and each chunk scatters into its own reserved slot range, so
-/// slots within a group end up in ascending item order regardless of
-/// thread count: serial and parallel builds are bit-identical.
+/// Counting-sort group-by into a CSR layout: count -> prefix sum ->
+/// scatter.  `emit(i, sink)` assigns item i to zero or more groups by
+/// calling sink(g); it must be pure — it runs once per pass.  Items are
+/// scattered in ascending order, so slots within a group ascend too.
 template <typename EmitFn>
-void build_csr(parallel::ThreadPool* pool, std::size_t n_items,
-               std::size_t n_groups, const EmitFn& emit,
+void build_csr(std::size_t n_items, std::size_t n_groups, const EmitFn& emit,
                std::vector<std::uint32_t>& offsets,
                std::vector<std::uint32_t>& slots) {
-  // Enough chunks to feed the pool, but bounded: the count matrix costs
-  // n_chunks * n_groups u32s, and tiny chunks are all scheduling.
-  std::size_t n_chunks = 1;
-  if (pool != nullptr && pool->size() > 1 && n_items > 0) {
-    n_chunks =
-        std::min({pool->size(), (n_items - 1) / 2048 + 1, std::size_t{16}});
-  }
-  const std::size_t stride =
-      n_items == 0 ? 1 : (n_items + n_chunks - 1) / n_chunks;
-  std::vector<std::vector<std::uint32_t>> counts(
-      n_chunks, std::vector<std::uint32_t>(n_groups, 0));
-
-  const auto for_each_chunk = [&](auto&& body) {
-    if (n_chunks == 1) {
-      body(std::size_t{0});
-      return;
-    }
-    std::vector<std::future<void>> futures;
-    futures.reserve(n_chunks);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      futures.push_back(pool->submit([&body, c] { body(c); }));
-    }
-    for (auto& f : futures) f.get();
-  };
-
-  for_each_chunk([&](std::size_t c) {
-    auto& local = counts[c];
-    const std::size_t end = std::min(n_items, (c + 1) * stride);
-    for (std::size_t i = c * stride; i < end; ++i) {
-      emit(i, [&](std::uint32_t g) { ++local[g]; });
-    }
-  });
-
+  // offsets[g + 1] counts group g; the prefix sum turns offsets[g] into
+  // group g's first slot.
   offsets.assign(n_groups + 1, 0);
-  std::uint32_t running = 0;
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const std::uint32_t n = counts[c][g];
-      counts[c][g] = running;  // becomes chunk c's write cursor for g
-      running += n;
-    }
-    offsets[g + 1] = running;
+  for (std::size_t i = 0; i < n_items; ++i) {
+    emit(i, [&](std::uint32_t g) { ++offsets[g + 1]; });
   }
+  for (std::size_t g = 0; g < n_groups; ++g) offsets[g + 1] += offsets[g];
 
-  slots.resize(running);
-  for_each_chunk([&](std::size_t c) {
-    auto& cursor = counts[c];
-    const std::size_t end = std::min(n_items, (c + 1) * stride);
-    for (std::size_t i = c * stride; i < end; ++i) {
-      emit(i, [&](std::uint32_t g) {
-        slots[cursor[g]++] = static_cast<std::uint32_t>(i);
-      });
-    }
-  });
+  // Scatter with offsets[g] as group g's write cursor: it ends at group
+  // g + 1's first slot, so shifting right by one restores the offsets.
+  slots.resize(offsets[n_groups]);
+  for (std::size_t i = 0; i < n_items; ++i) {
+    emit(i, [&](std::uint32_t g) {
+      slots[offsets[g]++] = static_cast<std::uint32_t>(i);
+    });
+  }
+  std::shift_right(offsets.begin(), offsets.end(), 1);
+  offsets[0] = 0;
 }
 
 }  // namespace
 
-MatchIndex::MatchIndex(const telemetry::MetadataStore& store,
-                       parallel::ThreadPool* pool)
+MatchIndex::MatchIndex(const telemetry::MetadataStore& store)
     : store_(&store) {
-  const obs::ScopedSpan span(pool != nullptr ? "match_index/build_parallel"
-                                             : "match_index/build",
-                             "core");
+  const obs::ScopedSpan span("match_index/build", "core");
   static obs::Counter& builds = obs::Registry::global().counter(
       "pandarus_match_index_builds_total", "MatchIndex constructions");
   builds.inc();
@@ -160,8 +115,7 @@ MatchIndex::MatchIndex(const telemetry::MetadataStore& store,
       if (jobs[j].jeditaskid == jeditaskid) sink(j);
     }
   };
-  build_csr(pool, files.size(), n_jobs, emit_file, file_offsets_,
-            file_slots_);
+  build_csr(files.size(), n_jobs, emit_file, file_offsets_, file_slots_);
 
   // Counting sort over dense lfn symbols.  The offsets table spans the
   // whole shared symbol table; non-lfn symbols simply own empty groups.
@@ -170,7 +124,7 @@ MatchIndex::MatchIndex(const telemetry::MetadataStore& store,
     const util::Symbol s = transfers[i].lfn_sym;
     if (s < n_syms) sink(s);
   };
-  build_csr(pool, transfers.size(), n_syms, emit_transfer,
+  build_csr(transfers.size(), n_syms, emit_transfer,
             transfer_offsets_, transfer_slots_);
 
   // Composite attribute keys: interned (dataset, proddblock, scope)

@@ -1,8 +1,8 @@
 // MatchIndex: the shared, immutable index layer behind Algorithm 1.
 //
 // The paper's §5.5 notes that metadata volume "imposes the need for
-// efficient computing for scalability ... such as parallelization".
-// This index is where that lands for the matching core:
+// efficient computing for scalability".  This index is where that lands
+// for the matching core:
 //
 //  * file rows are grouped by OWNING JOB — keyed on the full (pandaid,
 //    jeditaskid) bridge, so stale rows (same pandaid, different task
@@ -16,35 +16,26 @@
 //    Key equality is exact (interned, not hashed): equal keys iff all
 //    three strings and the size are equal.
 //
-// Both group-bys are CSR layouts (offsets + slots) built with a
-// deterministic two-pass scheme — per-chunk count, column-major prefix
-// sum, per-chunk scatter — optionally sharded over a ThreadPool.  The
-// scatter preserves record order within each group regardless of thread
-// count, so serial and parallel builds are bit-identical.
+// Both group-bys are CSR layouts (offsets + slots) built with a counting
+// sort — count, prefix sum, scatter — so slots within each group are in
+// ascending record order.
 //
-// One MatchIndex is built per snapshot and shared by the exact, RM1/RM2
-// and windowed matchers and the ParallelMatchDriver (all queries const).
+// One MatchIndex is built per snapshot and shared by every query over it:
+// the exact and RM1/RM2 methods and the windowed matcher (all const).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 
-#include "parallel/thread_pool.hpp"
 #include "telemetry/store.hpp"
 
 namespace pandarus::core {
 
 class MatchIndex {
  public:
-  /// Serial build.
-  explicit MatchIndex(const telemetry::MetadataStore& store)
-      : MatchIndex(store, nullptr) {}
-
-  /// Parallel two-pass build over `pool` (nullptr degrades to serial).
   /// The store must outlive the index and stay unmodified.
-  MatchIndex(const telemetry::MetadataStore& store,
-             parallel::ThreadPool* pool);
+  explicit MatchIndex(const telemetry::MetadataStore& store);
 
   /// File rows whose (pandaid, jeditaskid) equals the job's — the F'_j
   /// of Algorithm 1, stale rows already excluded.  Ascending row order.

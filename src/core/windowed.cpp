@@ -1,7 +1,6 @@
 #include "core/windowed.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace pandarus::core {
 namespace {
@@ -24,69 +23,29 @@ Span job_end_span(const telemetry::MetadataStore& store) {
 }  // namespace
 
 std::size_t WindowedMatcher::window_count() const {
-  const Span span = job_end_span(*store_);
+  const Span span = job_end_span(matcher_.store());
   if (span.hi <= span.lo || config_.window <= 0) return 0;
   return static_cast<std::size_t>(
       (span.hi - span.lo + config_.window - 1) / config_.window);
 }
 
 MatchResult WindowedMatcher::run(const MatchOptions& options) const {
+  const auto jobs = matcher_.store().jobs();
   MatchResult out;
   out.method = options.method;
-  out.jobs_considered = store_->jobs().size();
+  out.jobs_considered = jobs.size();
 
-  const Span span = job_end_span(*store_);
+  const Span span = job_end_span(matcher_.store());
   if (span.hi <= span.lo || config_.window <= 0) return out;
 
-  for (util::SimTime w0 = span.lo; w0 < span.hi; w0 += config_.window) {
-    const util::SimTime w1 = w0 + config_.window;
-
-    // Jobs completed in this window (the query module "only reports jobs
-    // that are completed before the end of the interval").
-    const auto job_indices = store_->jobs_completed_in(w0, w1);
-    if (job_indices.empty()) continue;
-
-    // Transfers started inside the window or its lookback margin.
-    const auto transfer_indices =
-        store_->transfers_started_in(w0 - config_.lookback, w1);
-
-    // File rows bridging to this window's jobs.
-    std::unordered_set<std::int64_t> pandaids;
-    pandaids.reserve(job_indices.size() * 2);
-    for (std::size_t ji : job_indices) {
-      pandaids.insert(store_->jobs()[ji].pandaid);
-    }
-
-    // Build the window snapshot (original indices recorded for the
-    // back-translation below).
-    telemetry::MetadataStore window_store;
-    for (std::size_t ji : job_indices) {
-      window_store.record_job(store_->jobs()[ji]);
-    }
-    for (const auto& row : store_->files()) {
-      if (pandaids.contains(row.pandaid)) window_store.record_file(row);
-    }
-    std::vector<std::size_t> transfer_map;
-    transfer_map.reserve(transfer_indices.size());
-    for (std::size_t ti : transfer_indices) {
-      window_store.record_transfer(store_->transfers()[ti]);
-      transfer_map.push_back(ti);
-    }
-
-    const Matcher matcher(window_store);
-    MatchResult window_result = matcher.run(options);
-    for (MatchedJob& m : window_result.jobs) {
-      m.job_index = job_indices[m.job_index];
-      for (std::size_t& ti : m.transfer_indices) ti = transfer_map[ti];
-      std::sort(m.transfer_indices.begin(), m.transfer_indices.end());
-      out.jobs.push_back(std::move(m));
-    }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    // Start of the window [w0, w0 + window) holding the job's end time.
+    const util::SimTime w0 =
+        span.lo +
+        (jobs[i].end_time - span.lo) / config_.window * config_.window;
+    MatchedJob m = matcher_.match_job(i, options, w0 - config_.lookback);
+    if (m.matched()) out.jobs.push_back(std::move(m));
   }
-
-  std::sort(out.jobs.begin(), out.jobs.end(),
-            [](const MatchedJob& a, const MatchedJob& b) {
-              return a.job_index < b.job_index;
-            });
   return out;
 }
 

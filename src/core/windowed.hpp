@@ -1,5 +1,5 @@
 // Windowed matching: the paper's time-window pre-selection (§4.2) as a
-// first-class, memory-bounded driver.
+// filter over one shared MatchIndex.
 //
 // "Since all metadata are time-series data continuously generated by the
 // real systems, we pre-selected the job set, file set, and transfer set
@@ -7,13 +7,16 @@
 // unnecessary searching overhead.  The selected period should be no
 // shorter than the end-to-end lifetime of the jobs of interest."
 //
-// The driver slices the campaign into fixed windows; each window matches
-// the jobs *completed* inside it (the paper's query semantics) against
-// the transfers that started inside the window or its lookback margin.
-// With `lookback` at least the longest job lifetime, the result is
-// provably identical to matching the whole store at once (tested as an
-// invariant) — but peak index size is bounded by one window's records,
-// which is what makes continuous, always-on matching feasible (§5.5).
+// The campaign is sliced into fixed windows starting at the earliest job
+// end time.  A job belongs to the window its end time falls in (the
+// paper's query semantics: jobs *completed* inside the window) and sees
+// only transfers that started at or after that window's start minus
+// `lookback`; Algorithm 1's own "started before the job ended" test
+// bounds the other side.  Each job runs through the given Matcher and
+// its shared index, with that one extra lower bound on candidate start
+// times.  With `lookback` at least the longest job lifetime the result
+// is identical to a global run (tested as an invariant); shorter
+// lookbacks drop old transfers.
 #pragma once
 
 #include "core/exact.hpp"
@@ -26,23 +29,23 @@ class WindowedMatcher {
     util::SimDuration window = util::days(2);
     /// How far before each window transfers are still considered.  Must
     /// cover the longest job lifetime for exact equivalence with global
-    /// matching; shorter lookbacks trade recall for memory.
+    /// matching; shorter lookbacks trade recall for a narrower search.
     util::SimDuration lookback = util::days(2);
   };
 
-  WindowedMatcher(const telemetry::MetadataStore& store, Config config)
-      : store_(&store), config_(config) {}
+  /// Shares `matcher`'s index; the matcher's store must outlive this.
+  WindowedMatcher(const Matcher& matcher, Config config)
+      : matcher_(matcher), config_(config) {}
 
-  /// Runs the given method window by window; the result is expressed in
-  /// the ORIGINAL store's indices and ordered by job index, exactly like
-  /// Matcher::run.
+  /// Runs the given method with each job restricted to its window; the
+  /// result is ordered by job index, exactly like Matcher::run.
   [[nodiscard]] MatchResult run(const MatchOptions& options) const;
 
   /// Number of windows the store's job span covers.
   [[nodiscard]] std::size_t window_count() const;
 
  private:
-  const telemetry::MetadataStore* store_;
+  Matcher matcher_;
   Config config_;
 };
 

@@ -356,8 +356,11 @@ std::string export_json(const Snapshot& snapshot) {
     out += ": {\"buckets\": [";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "[" + format_double(h.bounds[i]) + ", " +
-             std::to_string(h.buckets[i]) + "]";
+      out += '[';
+      out += format_double(h.bounds[i]);
+      out += ", ";
+      out += std::to_string(h.buckets[i]);
+      out += ']';
     }
     out += "], \"overflow\": " + std::to_string(h.buckets.back()) +
            ", \"count\": " + std::to_string(h.count) +

@@ -39,7 +39,6 @@
 #include "core/match_index.hpp"
 #include "core/match_types.hpp"
 #include "core/metrics.hpp"
-#include "core/parallel_driver.hpp"
 #include "core/relaxed.hpp"
 #include "core/windowed.hpp"
 #include "dms/catalog.hpp"
@@ -66,7 +65,6 @@
 #include "obs/sampler.hpp"
 #include "obs/serve.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/config.hpp"
 #include "sim/scheduler.hpp"
@@ -78,7 +76,6 @@
 #include "telemetry/store.hpp"
 #include "util/csv.hpp"
 #include "util/format.hpp"
-#include "util/histogram.hpp"
 #include "util/interner.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"

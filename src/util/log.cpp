@@ -72,7 +72,7 @@ LogLevel parse_log_level(std::string_view name, LogLevel fallback) noexcept {
 void log_line(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;
   // The full line is assembled first and written with ONE fwrite: stdio
-  // locks the stream per call, so concurrent workers (thread-pool tasks,
+  // locks the stream per call, so concurrent workers (HTTP server threads,
   // obs drop warnings) can interleave whole lines but never fragments.
   std::string line;
   line.reserve(message.size() + 32);

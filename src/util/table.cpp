@@ -42,11 +42,15 @@ std::string Table::to_string() const {
     std::string s = "|";
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const std::size_t pad = widths[c] - cells[c].size();
+      s += ' ';
       if (aligns_[c] == Align::kRight) {
-        s += " " + std::string(pad, ' ') + cells[c] + " |";
+        s.append(pad, ' ');
+        s += cells[c];
       } else {
-        s += " " + cells[c] + std::string(pad, ' ') + " |";
+        s += cells[c];
+        s.append(pad, ' ');
       }
+      s += " |";
     }
     return s + "\n";
   };

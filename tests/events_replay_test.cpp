@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "analysis/critical_path.hpp"
 #include "analysis/events_replay.hpp"
 #include "analysis/summary.hpp"
-#include "core/parallel_driver.hpp"
 #include "core/relaxed.hpp"
 #include "json_validator.hpp"
 #include "obs/event_log.hpp"
@@ -24,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "scenario/campaign.hpp"
 #include "telemetry/io.hpp"
 #include "util/json.hpp"
@@ -81,18 +80,16 @@ TEST(EventLog, MultiThreadedEmitKeepsEveryLineWellFormed) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 3000;  // crosses the drain-batch boundary
   {
-    parallel::ThreadPool pool(kThreads);
-    std::vector<std::future<void>> futures;
+    std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      futures.push_back(pool.submit([t] {
+      threads.emplace_back([t] {
         for (int i = 0; i < kPerThread; ++i) {
           obs::EventLog::installed()->emit(
               obs::Event("mt", i, std::int64_t{t}).field("i", std::int64_t{i}));
         }
-      }));
+      });
     }
-    for (auto& f : futures) f.get();
-    pool.wait_idle();
+    for (auto& th : threads) th.join();
   }
   log.uninstall();
 
@@ -159,7 +156,7 @@ TEST(Sampler, ColumnsAndEmittedRowsAgree)
 
 // A wall-clock-traced run must emit byte-identical NDJSON to an
 // untraced one: events carry simulated time only, probes are read-only,
-// and the ParallelMatchDriver post-pass must not perturb the stream.
+// and the matching post-pass must not perturb the stream.
 TEST(EventsDeterminism, TracedAndUntracedRunsEmitIdenticalNdjson) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.days = 0.5;
@@ -174,10 +171,8 @@ TEST(EventsDeterminism, TracedAndUntracedRunsEmitIdenticalNdjson) {
     obs::EventLog log;
     log.install();
     const scenario::ScenarioResult result = scenario::run_campaign(config);
-    parallel::ThreadPool pool(4);
-    const core::Matcher matcher(result.store, pool);
-    const core::MatchResult exact =
-        core::ParallelMatchDriver(matcher, pool).run(core::MatchOptions::exact());
+    const core::Matcher matcher(result.store);
+    const core::MatchResult exact = matcher.run(core::MatchOptions::exact());
     log.uninstall();
     if (traced) recorder.uninstall();
     return std::tuple{log.to_ndjson(), exact.matched_job_count()};

@@ -118,7 +118,7 @@ TEST(Topology, SitesOfTierFilters) {
   Topology topo;
   for (Tier tier : {Tier::kT0, Tier::kT1, Tier::kT1, Tier::kT2}) {
     Site s;
-    s.name = "s" + std::to_string(topo.site_count());
+    s.name = 's' + std::to_string(topo.site_count());
     s.tier = tier;
     topo.add_site(s);
   }

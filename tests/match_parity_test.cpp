@@ -1,9 +1,8 @@
-// Parity tests for the matching core: the parallel driver and the
-// parallel (two-pass sharded) index build must be observationally
-// identical to their serial counterparts, deterministically, for every
-// matching method.  Guards the MatchIndex refactor — any divergence in
-// group contents, composite keys or merge order shows up here as a
-// differing MatchedJob set.
+// Parity tests for the matching core: matchers sharing one MatchIndex
+// must be observationally identical to a matcher that built its own,
+// deterministically, for every matching method.  Any divergence in group
+// contents, composite keys or order shows up here as a differing
+// MatchedJob set.
 #include <gtest/gtest.h>
 
 #include "pandarus.hpp"
@@ -52,40 +51,6 @@ TEST(MatchParity, ScenarioProducesWork) {
   EXPECT_GT(matcher.run(core::MatchOptions::rm2()).matched_job_count(), 0u);
 }
 
-TEST(MatchParity, ParallelDriverMatchesSerialRun) {
-  const core::Matcher matcher(seeded_store());
-  parallel::ThreadPool pool(4);
-  const core::ParallelMatchDriver driver(matcher, pool);
-  for (const auto& options : kMethods) {
-    const auto serial = matcher.run(options);
-    const auto parallel_result = driver.run(options);
-    expect_identical(serial, parallel_result,
-                     core::method_name(options.method));
-  }
-}
-
-TEST(MatchParity, ParallelDriverIsDeterministicAcrossRuns) {
-  const core::Matcher matcher(seeded_store());
-  parallel::ThreadPool pool(4);
-  const core::ParallelMatchDriver driver(matcher, pool);
-  const auto first = driver.run(core::MatchOptions::rm2());
-  for (int run = 0; run < 3; ++run) {
-    expect_identical(first, driver.run(core::MatchOptions::rm2()),
-                     "repeat parallel run");
-  }
-}
-
-TEST(MatchParity, PoolBuiltIndexMatchesSerialBuild) {
-  const auto& store = seeded_store();
-  const core::Matcher serial_built(store);
-  parallel::ThreadPool pool(3);  // odd count: uneven chunk boundaries
-  const core::Matcher pool_built(store, pool);
-  for (const auto& options : kMethods) {
-    expect_identical(serial_built.run(options), pool_built.run(options),
-                     core::method_name(options.method));
-  }
-}
-
 TEST(MatchParity, SharedIndexAcrossMatchers) {
   // Matchers constructed over the same shared index agree with a
   // matcher that built its own.
@@ -93,8 +58,10 @@ TEST(MatchParity, SharedIndexAcrossMatchers) {
   const auto index = std::make_shared<const core::MatchIndex>(store);
   const core::Matcher a{index};
   const core::Matcher own(store);
-  expect_identical(own.run(core::MatchOptions::exact()),
-                   a.run(core::MatchOptions::exact()), "shared index");
+  for (const auto& options : kMethods) {
+    expect_identical(own.run(options), a.run(options),
+                     core::method_name(options.method));
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the obs layer: sharded counter aggregation under thread-pool
+// Tests for the obs layer: sharded counter aggregation under thread
 // contention, histogram bucket edges, exporter well-formedness (parsed
 // back with a minimal JSON parser), trace-event recording, registry
 // reset, env-hook idempotency, and the determinism guard (instrumented
@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/relaxed.hpp"
@@ -18,7 +19,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "scenario/campaign.hpp"
 
 namespace {
@@ -29,21 +29,20 @@ using JsonValidator = pandarus::testing::JsonValidator;
 
 // --- registry -------------------------------------------------------------
 
-TEST(ObsCounter, AggregatesUnderThreadPoolContention) {
+TEST(ObsCounter, AggregatesUnderThreadContention) {
   obs::Registry registry;
   obs::Counter& counter = registry.counter("test_contended_total");
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kIncrements = 20'000;
 
-  parallel::ThreadPool pool(kThreads);
-  std::vector<std::future<void>> futures;
-  futures.reserve(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
-    futures.push_back(pool.submit([&counter] {
+    threads.emplace_back([&counter] {
       for (std::uint64_t i = 0; i < kIncrements; ++i) counter.inc();
-    }));
+    });
   }
-  for (auto& f : futures) f.get();
+  for (auto& th : threads) th.join();
 
   EXPECT_EQ(counter.value(), kThreads * kIncrements);
   EXPECT_EQ(registry.snapshot().counter_value("test_contended_total"),
@@ -228,21 +227,19 @@ TEST(ObsTrace, ChromeJsonIsWellFormedAcrossThreads) {
   recorder.install();
   {
     const obs::ScopedSpan outer("outer", "test", 42);
-    parallel::ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
+    std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
-      futures.push_back(pool.submit([] {
+      threads.emplace_back([] {
         for (int i = 0; i < 50; ++i) {
           const obs::ScopedSpan span("worker_span", "test");
         }
-      }));
+      });
     }
-    for (auto& f : futures) f.get();
-    pool.wait_idle();
+    for (auto& th : threads) th.join();
   }
   recorder.uninstall();
 
-  // 1 outer + 4*50 worker spans, plus the pool's own pool/task spans.
+  // 1 outer + 4*50 worker spans.
   EXPECT_GE(recorder.event_count(), 201u);
   EXPECT_EQ(recorder.dropped(), 0u);
 

@@ -6,7 +6,6 @@
 #include "analysis/breakdown.hpp"
 #include "analysis/heatmap.hpp"
 #include "analysis/summary.hpp"
-#include "core/parallel_driver.hpp"
 #include "core/relaxed.hpp"
 #include "core/windowed.hpp"
 #include "scenario/campaign.hpp"
@@ -156,24 +155,6 @@ TEST(Matching, ExactMatchedSetsSatisfyAlgorithmPredicate) {
   }
 }
 
-TEST(Matching, ParallelDriverMatchesSerial) {
-  const ScenarioResult& r = shared_result();
-  const core::Matcher matcher(r.store);
-  parallel::ThreadPool pool(4);
-  const core::ParallelMatchDriver driver(matcher, pool);
-  for (const auto options :
-       {core::MatchOptions::exact(), core::MatchOptions::rm2()}) {
-    const auto serial = matcher.run(options);
-    const auto parallel_result = driver.run(options);
-    ASSERT_EQ(serial.matched_job_count(), parallel_result.matched_job_count());
-    for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
-      EXPECT_EQ(serial.jobs[i].job_index, parallel_result.jobs[i].job_index);
-      EXPECT_EQ(serial.jobs[i].transfer_indices,
-                parallel_result.jobs[i].transfer_indices);
-    }
-  }
-}
-
 TEST(Matching, WindowedMatcherEquivalentWithSufficientLookback) {
   // With lookback covering every job lifetime, windowed matching must
   // reproduce the global result exactly (the paper's pre-selection
@@ -189,12 +170,12 @@ TEST(Matching, WindowedMatcherEquivalentWithSufficientLookback) {
   // Transfers may also start before job creation (pre-placement), so
   // cover the whole campaign span for strict equality.
   config.lookback = r.window_end + max_lifetime;
-  const core::WindowedMatcher windowed(r.store, config);
+  const core::Matcher matcher(r.store);
+  const core::WindowedMatcher windowed(matcher, config);
   EXPECT_GT(windowed.window_count(), 1u);
 
   for (const auto options :
        {core::MatchOptions::exact(), core::MatchOptions::rm2()}) {
-    const core::Matcher matcher(r.store);
     const auto global = matcher.run(options);
     const auto sliced = windowed.run(options);
     ASSERT_EQ(global.matched_job_count(), sliced.matched_job_count());
@@ -216,8 +197,8 @@ TEST(Matching, WindowedMatcherShortLookbackOnlyLosesMatches) {
   core::WindowedMatcher::Config config;
   config.window = util::hours(4);
   config.lookback = util::minutes(30);
-  const core::WindowedMatcher windowed(r.store, config);
   const core::Matcher matcher(r.store);
+  const core::WindowedMatcher windowed(matcher, config);
   const auto global = matcher.run(core::MatchOptions::rm1());
   const auto sliced = windowed.run(core::MatchOptions::rm1());
   EXPECT_LE(sliced.matched_job_count(), global.matched_job_count());

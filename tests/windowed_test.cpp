@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/windowed.hpp"
+#include "obs/metrics.hpp"
 
 namespace pandarus::core {
 namespace {
@@ -28,14 +29,13 @@ MetadataStore hourly_store(int n_jobs) {
     j.ninputfilebytes = 500;
     store.record_job(j);
 
-    FileRecord f;
-    f.pandaid = j.pandaid;
-    f.jeditaskid = 7;
-    f.lfn = "f" + std::to_string(i);
-    f.dataset = "ds";
-    f.proddblock = "blk";
-    f.scope = "mc23";
-    f.file_size = 500;
+    const FileRecord f{.pandaid = j.pandaid,
+                       .jeditaskid = 7,
+                       .lfn = 'f' + std::to_string(i),
+                       .dataset = "ds",
+                       .proddblock = "blk",
+                       .scope = "mc23",
+                       .file_size = 500};
     store.record_file(f);
 
     TransferRecord t;
@@ -61,13 +61,13 @@ TEST(WindowedMatcher, WindowCountCoversJobSpan) {
   const MetadataStore store = hourly_store(10);  // ends span ~9h40m
   WindowedMatcher::Config config;
   config.window = util::hours(2);
-  const WindowedMatcher matcher(store, config);
+  const WindowedMatcher matcher(Matcher(store), config);
   EXPECT_EQ(matcher.window_count(), 5u);
 }
 
 TEST(WindowedMatcher, EmptyStoreYieldsNothing) {
   MetadataStore store;
-  const WindowedMatcher matcher(store, {});
+  const WindowedMatcher matcher(Matcher(store), {});
   EXPECT_EQ(matcher.window_count(), 0u);
   EXPECT_EQ(matcher.run(MatchOptions::exact()).matched_job_count(), 0u);
 }
@@ -77,7 +77,7 @@ TEST(WindowedMatcher, MatchesEveryJobWithAdequateLookback) {
   WindowedMatcher::Config config;
   config.window = util::hours(3);
   config.lookback = util::hours(1);  // covers each job's own transfer
-  const WindowedMatcher matcher(store, config);
+  const WindowedMatcher matcher(Matcher(store), config);
   const MatchResult result = matcher.run(MatchOptions::exact());
   EXPECT_EQ(result.matched_job_count(), 12u);
   // Original indices, ordered.
@@ -94,7 +94,7 @@ TEST(WindowedMatcher, AgreesWithGlobalMatcher) {
   WindowedMatcher::Config config;
   config.window = util::hours(5);
   config.lookback = util::hours(2);
-  const WindowedMatcher windowed(store, config);
+  const WindowedMatcher windowed(global, config);
   for (const auto options :
        {MatchOptions::exact(), MatchOptions::rm1(), MatchOptions::rm2()}) {
     const auto a = global.run(options);
@@ -107,21 +107,47 @@ TEST(WindowedMatcher, AgreesWithGlobalMatcher) {
   }
 }
 
+TEST(WindowedMatcher, SharesTheMatchersIndex) {
+  // Windowing is a filter over the matcher's index: running it must not
+  // build another one, whatever the window count.
+  const MetadataStore store = hourly_store(24);
+  const Matcher global(store);
+  WindowedMatcher::Config config;
+  config.window = util::hours(1);
+  const WindowedMatcher windowed(global, config);
+  ASSERT_GT(windowed.window_count(), 1u);
+  const auto builds = [] {
+    return obs::Registry::global().snapshot().counter_value(
+        "pandarus_match_index_builds_total");
+  };
+  const std::uint64_t before = builds();
+  EXPECT_EQ(windowed.run(MatchOptions::exact()).matched_job_count(), 24u);
+  EXPECT_EQ(builds(), before);
+}
+
 TEST(WindowedMatcher, ShortLookbackDropsOldTransfers) {
   // Put the transfer a full day before the job: a 1-hour lookback with a
   // 1-hour window cannot see it.
-  MetadataStore store = hourly_store(1);
+  MetadataStore store = hourly_store(2);
   store.transfers_mutable()[0].started_at = -util::days(1);
   store.transfers_mutable()[0].finished_at =
       -util::days(1) + util::minutes(5);
+  // Job 1 ends exactly on the boundary between the first window
+  // [40m, 1h40m) and the second, so it belongs to the second window,
+  // whose lookback starts at 40m.  Its transfer at 30m is inside the
+  // first window's lookback but not the second's: it must be dropped.
+  store.jobs_mutable()[1].end_time = util::minutes(100);
+  store.transfers_mutable()[1].started_at = util::minutes(30);
+  store.transfers_mutable()[1].finished_at = util::minutes(35);
   WindowedMatcher::Config config;
   config.window = util::hours(1);
   config.lookback = util::hours(1);
-  const WindowedMatcher windowed(store, config);
-  EXPECT_EQ(windowed.run(MatchOptions::rm1()).matched_job_count(), 0u);
-  // The global matcher still finds it.
   const Matcher global(store);
-  EXPECT_EQ(global.run(MatchOptions::rm1()).matched_job_count(), 1u);
+  const WindowedMatcher windowed(global, config);
+  EXPECT_EQ(windowed.window_count(), 2u);
+  EXPECT_EQ(windowed.run(MatchOptions::rm1()).matched_job_count(), 0u);
+  // The global matcher still finds both.
+  EXPECT_EQ(global.run(MatchOptions::rm1()).matched_job_count(), 2u);
 }
 
 }  // namespace
