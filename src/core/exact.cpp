@@ -109,8 +109,10 @@ bool site_condition(const TransferRecord& t, const JobRecord& j,
 const std::vector<std::size_t>& Matcher::collect_candidates(
     std::size_t job_index, const MatchOptions& options,
     util::SimTime not_before, std::size_t* file_rows) const {
-  // Reused per worker thread: the per-job allocate/free that used to
-  // dominate the inner loop is gone.
+  // Reused across jobs so the inner loop does no per-job allocate/free.
+  // Per thread because the live /api/summary cache (LiveCache in
+  // analysis/serve_endpoints.cpp) matches on the status server's HTTP
+  // workers.
   thread_local std::vector<std::size_t> scratch;
   scratch.clear();
 

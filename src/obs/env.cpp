@@ -1,6 +1,5 @@
 #include "obs/env.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -35,17 +34,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-void write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: cannot open metrics output file " + path);
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-}
-
 void dump_at_exit() {
   // The server goes first: once stopped, no scrape can race the close/
   // dump sequence below.
@@ -54,9 +42,11 @@ void dump_at_exit() {
     sample_process_metrics();  // final values for the metrics dump
   }
   if (!g_metrics_path.empty()) {
-    write_text_file(g_metrics_path, ends_with(g_metrics_path, ".prom")
-                                        ? export_prometheus()
-                                        : export_json());
+    detail::write_text_file(g_metrics_path,
+                            ends_with(g_metrics_path, ".prom")
+                                ? export_prometheus()
+                                : export_json(),
+                            "metrics");
   }
   if (g_env_recorder != nullptr) {
     g_env_recorder->write_chrome_trace(g_trace_path);
@@ -81,7 +71,8 @@ void dump_at_exit() {
   if (g_env_health_engine != nullptr && !g_alerts_path.empty()) {
     // After the log close above, detectors have quiesced; the dump is
     // the same document /api/alerts served.
-    write_text_file(g_alerts_path, g_env_health_engine->status_json());
+    detail::write_text_file(g_alerts_path,
+                            g_env_health_engine->status_json(), "alerts");
   }
 }
 

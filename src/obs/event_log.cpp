@@ -16,15 +16,25 @@
 namespace pandarus::obs {
 namespace {
 
-std::uint64_t next_log_id() noexcept {
-  // Ids start at 1 so the thread-local cache's 0 means "no log".
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// The flush thread writes in blocks this size so the crash harness's
 /// write-delay hook can stretch a flush across many kill opportunities.
 constexpr std::size_t kFlushBlock = 4096;
+
+/// write_ndjson() batches lines into blocks this size per fwrite.
+constexpr std::size_t kWriteBlock = std::size_t{1} << 16;
+
+using LineIter = std::vector<std::string>::const_iterator;
+
+/// Appends lines [first, last) to `out` as NDJSON, reserving once.
+void append_ndjson(std::string& out, LineIter first, LineIter last) {
+  std::size_t total = 0;
+  for (auto it = first; it != last; ++it) total += it->size() + 1;
+  out.reserve(out.size() + total);
+  for (auto it = first; it != last; ++it) {
+    out += *it;
+    out += '\n';
+  }
+}
 
 }  // namespace
 
@@ -112,6 +122,25 @@ void append_json_double(std::string& out, double v) {
   out += buf;
 }
 
+bool write_text_file(const std::string& path, std::string_view text,
+                     std::string_view what) {
+  const auto warn = [&path, what](std::string_view failure) {
+    std::string message = "obs: ";
+    message.append(failure).append(what).append(" output file ").append(path);
+    util::log_line(util::LogLevel::kWarning, message);
+  };
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    warn("cannot open ");
+    return false;
+  }
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  ok = std::fflush(f) == 0 && ok;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) warn("write failed on ");
+  return ok;
+}
+
 }  // namespace detail
 
 namespace {
@@ -196,8 +225,7 @@ Event&& Event::field(std::string_view key, const char* v) && {
 
 std::atomic<EventLog*> EventLog::g_installed{nullptr};
 
-EventLog::EventLog(std::size_t max_events)
-    : id_(next_log_id()), max_events_(max_events) {}
+EventLog::EventLog(std::size_t max_events) : max_events_(max_events) {}
 
 EventLog::~EventLog() {
   stop_periodic_flush();
@@ -214,18 +242,10 @@ void EventLog::uninstall() noexcept {
                                       std::memory_order_acq_rel);
 }
 
-EventLog::Buffer& EventLog::local_buffer() {
-  // Cache keyed on the log's process-unique id: a stale cache from a
-  // destroyed log can never collide with a live one.
-  static thread_local std::uint64_t t_owner_id = 0;
-  static thread_local Buffer* t_buffer = nullptr;
-  if (t_owner_id != id_) {
-    std::scoped_lock lock(mutex_);
-    buffers_.push_back(std::make_unique<Buffer>());
-    t_buffer = buffers_.back().get();
-    t_owner_id = id_;
-  }
-  return *t_buffer;
+void EventLog::append(std::string line) {
+  std::scoped_lock lock(mutex_);
+  lines_.push_back(std::move(line));
+  if (lines_.size() - watermark_ >= kPublishBatch) watermark_ = lines_.size();
 }
 
 void EventLog::emit(Event event) {
@@ -241,54 +261,17 @@ void EventLog::emit(Event event) {
   }
   event.line_ += '}';
   bytes_.fetch_add(event.line_.size() + 1, std::memory_order_relaxed);
-  Buffer& buffer = local_buffer();
-  buffer.staged.push_back(
-      {next_seq_.fetch_add(1, std::memory_order_relaxed),
-       std::move(event.line_)});
-  if (buffer.staged.size() >= kDrainBatch) {
-    std::scoped_lock lock(mutex_);
-    drain_locked(buffer);
-  }
+  append(std::move(event.line_));
 }
 
 void EventLog::emit_sideband(Event event) {
   event.line_ += '}';
-  Buffer& buffer = local_buffer();
-  buffer.staged.push_back(
-      {next_seq_.fetch_add(1, std::memory_order_relaxed),
-       std::move(event.line_)});
-  if (buffer.staged.size() >= kDrainBatch) {
-    std::scoped_lock lock(mutex_);
-    drain_locked(buffer);
-  }
-}
-
-void EventLog::note_drained_locked(std::uint64_t seq) {
-  if (seq == watermark_) {
-    ++watermark_;
-    while (!ahead_.empty() && ahead_.front() == watermark_) {
-      std::pop_heap(ahead_.begin(), ahead_.end(), std::greater<>());
-      ahead_.pop_back();
-      ++watermark_;
-    }
-  } else {
-    ahead_.push_back(seq);
-    std::push_heap(ahead_.begin(), ahead_.end(), std::greater<>());
-  }
-}
-
-void EventLog::drain_locked(Buffer& buffer) {
-  for (Line& line : buffer.staged) {
-    note_drained_locked(line.seq);
-    drained_.push_back(std::move(line));
-  }
-  buffer.staged.clear();
+  append(std::move(event.line_));
 }
 
 std::uint64_t EventLog::publish() {
-  Buffer& buffer = local_buffer();
   std::scoped_lock lock(mutex_);
-  drain_locked(buffer);
+  watermark_ = lines_.size();
   return watermark_;
 }
 
@@ -301,20 +284,8 @@ std::uint64_t EventLog::snapshot_ndjson(std::string& out,
                                         std::uint64_t from_seq) const {
   std::scoped_lock lock(mutex_);
   if (from_seq >= watermark_) return watermark_;
-  std::vector<const Line*> lines;
-  lines.reserve(static_cast<std::size_t>(watermark_ - from_seq));
-  for (const Line& l : drained_) {
-    if (l.seq >= from_seq && l.seq < watermark_) lines.push_back(&l);
-  }
-  std::sort(lines.begin(), lines.end(),
-            [](const Line* a, const Line* b) { return a->seq < b->seq; });
-  std::size_t total = 0;
-  for (const Line* l : lines) total += l->text.size() + 1;
-  out.reserve(out.size() + total);
-  for (const Line* l : lines) {
-    out += l->text;
-    out += '\n';
-  }
+  append_ndjson(out, lines_.begin() + static_cast<std::ptrdiff_t>(from_seq),
+                lines_.begin() + static_cast<std::ptrdiff_t>(watermark_));
   return watermark_;
 }
 
@@ -326,7 +297,7 @@ void EventLog::close() {
   const std::uint64_t bytes = bytes_written();
   // The terminal line must survive max_events truncation (that is the
   // condition it exists to report), so it bypasses emit()'s bound and
-  // goes straight into the central sink.  io_errors/fsyncs make sink
+  // goes straight into the stream.  io_errors/fsyncs make sink
   // trouble (full disk, failed fsync) visible in replay; both are 0 in
   // the default configuration, keeping byte-identity across runs.
   Event event = Event("log_stats", 0, std::int64_t{0})
@@ -339,55 +310,28 @@ void EventLog::close() {
   bytes_.fetch_add(event.line_.size() + 1, std::memory_order_relaxed);
   accepted_.fetch_add(1, std::memory_order_relaxed);
   std::scoped_lock lock(mutex_);
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  note_drained_locked(seq);
-  drained_.push_back({seq, std::move(event.line_)});
-  // Emitters have quiesced (close's contract), so every remaining
-  // staged line can be drained here — the publication watermark then
-  // covers the whole stream and snapshot readers see it all.
-  for (const auto& buffer : buffers_) drain_locked(*buffer);
+  lines_.push_back(std::move(event.line_));
+  // Emitters have quiesced (close's contract): publish the whole
+  // stream so snapshot readers see it all.
+  watermark_ = lines_.size();
 }
 
 std::size_t EventLog::event_count() const {
   std::scoped_lock lock(mutex_);
-  std::size_t n = drained_.size();
-  for (const auto& buffer : buffers_) n += buffer->staged.size();
-  return n;
+  return lines_.size();
 }
 
 std::string EventLog::to_ndjson() const {
-  std::scoped_lock lock(mutex_);
-  std::vector<const Line*> lines;
-  lines.reserve(drained_.size());
-  for (const Line& l : drained_) lines.push_back(&l);
-  for (const auto& buffer : buffers_) {
-    for (const Line& l : buffer->staged) lines.push_back(&l);
-  }
-  std::sort(lines.begin(), lines.end(),
-            [](const Line* a, const Line* b) { return a->seq < b->seq; });
-  std::size_t total = 0;
-  for (const Line* l : lines) total += l->text.size() + 1;
   std::string out;
-  out.reserve(total);
-  for (const Line* l : lines) {
-    out += l->text;
-    out += '\n';
-  }
+  std::scoped_lock lock(mutex_);
+  append_ndjson(out, lines_.begin(), lines_.end());
   return out;
 }
 
 void EventLog::for_each_line(
     const std::function<void(std::string_view)>& fn) const {
   std::scoped_lock lock(mutex_);
-  std::vector<const Line*> lines;
-  lines.reserve(drained_.size());
-  for (const Line& l : drained_) lines.push_back(&l);
-  for (const auto& buffer : buffers_) {
-    for (const Line& l : buffer->staged) lines.push_back(&l);
-  }
-  std::sort(lines.begin(), lines.end(),
-            [](const Line* a, const Line* b) { return a->seq < b->seq; });
-  for (const Line* l : lines) fn(l->text);
+  for (const std::string& line : lines_) fn(line);
 }
 
 bool EventLog::start_periodic_flush(const std::string& path,
@@ -494,23 +438,30 @@ void EventLog::stop_periodic_flush() {
 }
 
 bool EventLog::write_ndjson(const std::string& path) const {
-  const std::string text = to_ndjson();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     util::log_line(util::LogLevel::kWarning,
                    "obs: cannot open event log output file " + path);
     return false;
   }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  if (written != text.size()) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
-    std::fclose(f);
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: short write to event log output file " + path);
-    return false;
+  bool ok = true;
+  {
+    std::string block;
+    block.reserve(kWriteBlock);
+    const auto write_block = [&] {
+      ok = ok && std::fwrite(block.data(), 1, block.size(), f) == block.size();
+      block.clear();
+    };
+    std::scoped_lock lock(mutex_);
+    for (const std::string& line : lines_) {
+      block += line;
+      block += '\n';
+      if (block.size() >= kWriteBlock) write_block();
+    }
+    write_block();
   }
-  if (fsync_.policy != FsyncPolicy::kOff) {
-    std::fflush(f);
+  ok = std::fflush(f) == 0 && ok;
+  if (ok && fsync_.policy != FsyncPolicy::kOff) {
     if (::fsync(fileno(f)) == 0) {
       fsyncs_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -519,8 +470,13 @@ bool EventLog::write_ndjson(const std::string& path) const {
                      "obs: fsync failed on event log output file " + path);
     }
   }
-  std::fclose(f);
-  return true;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    io_errors_.fetch_add(1, std::memory_order_relaxed);
+    util::log_line(util::LogLevel::kWarning,
+                   "obs: write failed on event log output file " + path);
+  }
+  return ok;
 }
 
 }  // namespace pandarus::obs

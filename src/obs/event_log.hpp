@@ -4,11 +4,9 @@
 //
 // Events are typed NDJSON lines — one JSON object per line with `ts`
 // (simulated milliseconds), `kind`, `entity`, and kind-specific fields —
-// built with the Event builder and appended to per-thread staging
-// buffers.  A full staging buffer drains under the log's mutex into one
-// central sink (many producers, one consumer at serialization time),
-// and the whole stream is bounded by `max_events`; overflow is counted,
-// never blocking.
+// built with the Event builder and appended, under the log's mutex, to
+// one vector of lines in emission order.  The whole stream is bounded
+// by `max_events`; overflow is counted, never blocking.
 //
 // The disabled path follows the same cost discipline as ScopedSpan:
 // when no EventLog is installed, an emit site is one relaxed-ish atomic
@@ -32,7 +30,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -47,6 +44,12 @@ namespace detail {
 void append_json_escaped(std::string& out, std::string_view s);
 /// Finite, round-trippable double rendering (%.17g; non-finite → 0).
 void append_json_double(std::string& out, double v);
+/// Writes `text` to `path`, replacing it; false (with a warning naming
+/// `what`) when the open, the write, the flush or the close fails — a
+/// full disk often shows only at fclose.  Shared by the plain one-shot
+/// writers (metrics dump, Chrome trace, collapsed stacks, alerts).
+bool write_text_file(const std::string& path, std::string_view text,
+                     std::string_view what);
 }  // namespace detail
 
 /// Durability level for the file sinks (the PANDARUS_EVENTS_FSYNC
@@ -95,14 +98,15 @@ class Event {
   std::string line_;  ///< open JSON object; emit() appends the '}'
 };
 
-/// Collects events from any thread; install at most one log at a time.
-/// The log must outlive every thread that observed it as installed, and
-/// to_ndjson()/write_ndjson() are only safe once emitters have
-/// quiesced (same contract as TraceRecorder).
+/// Collects events into one ordered stream; install at most one log at
+/// a time.  Every emit appends under the log's mutex, so lines keep the
+/// order they were emitted in.  The log must outlive every thread that
+/// observed it as installed, and to_ndjson()/write_ndjson() hold the
+/// complete stream only once emitters have quiesced.
 class EventLog {
  public:
-  /// `max_events` bounds the whole stream across all threads; events
-  /// past the bound are counted as dropped (warned once).
+  /// `max_events` bounds the whole stream; events past the bound are
+  /// counted as dropped (warned once).
   explicit EventLog(std::size_t max_events = std::size_t{1} << 22);
   ~EventLog();
   EventLog(const EventLog&) = delete;
@@ -116,8 +120,8 @@ class EventLog {
     return g_installed.load(std::memory_order_acquire);
   }
 
-  /// Finalizes the event's line and appends it to this thread's staging
-  /// buffer (draining to the central sink when the buffer fills).
+  /// Finalizes the event's line and appends it to the stream; once
+  /// kPublishBatch lines are unpublished, they publish themselves.
   void emit(Event event);
 
   /// Sideband emit: the line rides the stream (same ordering, same
@@ -132,42 +136,34 @@ class EventLog {
   /// (events written, dropped, bytes — describing the stream *before*
   /// this line) so silent max_events truncation is visible in replay
   /// and reports.  The stats line bypasses the max_events bound.
-  /// Also drains every staging buffer into the central sink (emitters
-  /// have quiesced by contract), so the publication watermark reaches
-  /// the end of the stream.  Idempotent; call once emitters have
-  /// quiesced.
+  /// Also publishes the whole stream, so the watermark reaches its end.
+  /// Idempotent; call once emitters have quiesced.
   void close();
   [[nodiscard]] bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
   }
 
   // --- snapshot isolation ---------------------------------------------------
-  // Concurrent readers (obs::serve) must never touch staging buffers —
-  // those are owned by their emitting threads.  Instead they read the
-  // *published prefix*: the set of lines whose sequence numbers form a
-  // contiguous range [0, watermark()) inside the central sink.  Owning
-  // threads move their staged lines into the sink by filling a batch
-  // (kDrainBatch) or by calling publish() at a quiescent point (the
-  // campaign loop publishes at every simulated-day boundary and after
-  // the harvest).  A reader holding a watermark therefore sees a
-  // consistent, gap-free prefix of the stream without ever blocking an
-  // emitter for more than the sink mutex.
+  // Concurrent readers (obs::serve, the periodic flusher) read only the
+  // *published prefix*: lines [0, watermark()) of the stream.  The
+  // emitter publishes at quiescent points (the campaign loop publishes
+  // at every simulated-day boundary and after the harvest), and every
+  // kPublishBatch unpublished lines publish themselves.  A reader
+  // holding a watermark therefore sees a consistent, gap-free prefix of
+  // the stream at a known simulated time, and blocks an emitter for no
+  // longer than its copy under the mutex.
 
-  /// Drains the calling thread's staging buffer into the central sink
-  /// and returns the new publication watermark.  Cheap when the buffer
-  /// is empty; call from the emitting thread only.
+  /// Publishes every line emitted so far and returns the new watermark.
   std::uint64_t publish();
 
-  /// One past the highest sequence number of the contiguous published
-  /// prefix.  Every line with seq < watermark() is in the central sink
-  /// and immutable; snapshot readers key their memoization off this.
+  /// Number of published lines.  Lines below the watermark are
+  /// immutable; snapshot readers key their memoization off this.
   [[nodiscard]] std::uint64_t watermark() const;
 
-  /// Appends the published lines with seq in [from_seq, watermark())
-  /// to `out` as NDJSON in sequence order and returns the watermark
-  /// used as the exclusive bound.  Safe concurrently with emitters —
-  /// only the central sink is read.  Pass the returned value back as
-  /// `from_seq` to stream the log incrementally.
+  /// Appends the published lines [from_seq, watermark()) to `out` as
+  /// NDJSON in emission order and returns the watermark used as the
+  /// exclusive bound.  Safe concurrently with emitters.  Pass the
+  /// returned value back as `from_seq` to stream the log incrementally.
   std::uint64_t snapshot_ndjson(std::string& out,
                                 std::uint64_t from_seq = 0) const;
 
@@ -175,7 +171,7 @@ class EventLog {
   /// `path` every `interval_ms` (the PANDARUS_EVENTS_FLUSH_MS knob), so
   /// `tail -f` and SSE consumers see events before close().  The file
   /// is truncated on start; only *published* lines are flushed, so the
-  /// producer must publish() (or fill drain batches) for data to
+  /// producer must publish() (or emit full batches) for data to
   /// appear.  Default-off: without this call nothing is written until
   /// the final write_ndjson().  False when the file cannot be opened or
   /// a flusher is already running.
@@ -222,35 +218,26 @@ class EventLog {
     return bytes_.load(std::memory_order_relaxed);
   }
 
-  /// The full stream as NDJSON, lines ordered by emission sequence
-  /// (deterministic for single-threaded emitters), '\n' after each line.
+  /// The full stream as NDJSON in emission order, '\n' after each line.
   [[nodiscard]] std::string to_ndjson() const;
-  /// Writes to_ndjson() to `path`; false (with a warning logged) on I/O
-  /// failure.
+  /// Streams the to_ndjson() bytes to `path`; false (with a warning
+  /// logged and counted in io_errors()) when the open, a write, the
+  /// flush or the close fails.
   bool write_ndjson(const std::string& path) const;
 
-  /// Visits every line (without trailing '\n') in emission-sequence
-  /// order under the log's lock — the streaming sibling of to_ndjson()
-  /// used by the colstore sink.  Same quiescence contract.
+  /// Visits every line (without trailing '\n') in emission order under
+  /// the log's lock — the streaming sibling of to_ndjson() used by the
+  /// colstore sink.  Same quiescence contract.
   void for_each_line(
       const std::function<void(std::string_view)>& fn) const;
 
  private:
-  struct Line {
-    std::uint64_t seq = 0;
-    std::string text;
-  };
-  struct Buffer {
-    std::vector<Line> staged;
-  };
-  /// Staging buffers drain in batches of this many lines.
-  static constexpr std::size_t kDrainBatch = 1024;
+  /// Unpublished lines publish themselves in batches of this many.
+  static constexpr std::size_t kPublishBatch = 1024;
 
-  Buffer& local_buffer();
-  /// Moves `buffer`'s staged lines into drained_; mutex_ held.
-  void drain_locked(Buffer& buffer);
-  /// Accounts one drained seq into the watermark; mutex_ held.
-  void note_drained_locked(std::uint64_t seq);
+  /// Appends one finished line, publishing once a full batch is
+  /// unpublished.
+  void append(std::string line);
   void flush_loop(int interval_ms);
   void flush_once();
   /// fsyncs flush_file_ per fsync_ policy; flush_mutex_ held.
@@ -258,9 +245,7 @@ class EventLog {
 
   static std::atomic<EventLog*> g_installed;
 
-  const std::uint64_t id_;  ///< process-unique, never reused
   const std::size_t max_events_;
-  std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> bytes_{0};
@@ -271,15 +256,11 @@ class EventLog {
   mutable std::atomic<bool> warned_io_error_{false};
   std::atomic<bool> warned_dropped_{false};
   std::atomic<bool> closed_{false};
+  // The stream, guarded by mutex_: every line in emission order, of
+  // which lines_[0, watermark_) are published.
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Buffer>> buffers_;
-  std::vector<Line> drained_;  ///< MPSC sink fed by full staging buffers
-
-  // Publication watermark (guarded by mutex_): drained lines with seq
-  // >= watermark_ wait in ahead_ (a min-heap) until the gap below them
-  // is drained too.
+  std::vector<std::string> lines_;
   std::uint64_t watermark_ = 0;
-  std::vector<std::uint64_t> ahead_;
 
   // Periodic flusher (PANDARUS_EVENTS_FLUSH_MS).
   std::mutex flush_mutex_;

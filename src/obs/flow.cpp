@@ -1,7 +1,6 @@
 #include "obs/flow.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
@@ -671,21 +670,7 @@ std::string FlowTracker::to_collapsed(
 }
 
 bool FlowTracker::write_collapsed(const std::string& path) const {
-  const std::string text = to_collapsed();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: cannot open collapsed-stack output file " + path);
-    return false;
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: short write to collapsed-stack output file " + path);
-    return false;
-  }
-  return true;
+  return detail::write_text_file(path, to_collapsed(), "collapsed-stack");
 }
 
 }  // namespace pandarus::obs

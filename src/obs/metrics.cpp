@@ -2,40 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "obs/event_log.hpp"
 
 namespace pandarus::obs {
 namespace {
-
-/// Doubles in exports must stay valid JSON: no inf/nan, round-trippable
-/// precision.
-std::string format_double(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 template <typename T>
 void sort_by_name(std::vector<T>& values) {
@@ -48,30 +19,7 @@ void sort_by_name(std::vector<T>& values) {
 // --- Counter --------------------------------------------------------------
 
 Counter::Counter(std::string name, std::string help)
-    : name_(std::move(name)),
-      help_(std::move(help)),
-      cells_(std::make_unique<Cell[]>(kShards)) {}
-
-std::uint64_t Counter::value() const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    total += cells_[i].v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::reset() noexcept {
-  for (std::size_t i = 0; i < kShards; ++i) {
-    cells_[i].v.store(0, std::memory_order_relaxed);
-  }
-}
-
-std::size_t Counter::shard_index() noexcept {
-  static std::atomic<std::size_t> next{0};
-  static thread_local const std::size_t idx =
-      next.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
-  return idx;
-}
+    : name_(std::move(name)), help_(std::move(help)) {}
 
 // --- Gauge ----------------------------------------------------------------
 
@@ -333,41 +281,45 @@ Snapshot Registry::snapshot() const {
 std::string export_json(const Snapshot& snapshot) {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& c : snapshot.counters) {
-    out += first ? "\n    " : ",\n    ";
+  // Opens one `"name": ` entry of the current map.
+  const auto key = [&out, &first](const std::string& name) {
+    out += first ? "\n    \"" : ",\n    \"";
     first = false;
-    append_json_string(out, c.name);
-    out += ": " + std::to_string(c.value);
+    detail::append_json_escaped(out, name);
+    out += "\": ";
+  };
+  const auto number = [&out](const char* label, double v) {
+    out += label;
+    detail::append_json_double(out, v);
+  };
+  for (const auto& c : snapshot.counters) {
+    key(c.name);
+    out += std::to_string(c.value);
   }
   out += "\n  },\n  \"gauges\": {";
   first = true;
   for (const auto& g : snapshot.gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_json_string(out, g.name);
-    out += ": " + std::to_string(g.value);
+    key(g.name);
+    out += std::to_string(g.value);
   }
   out += "\n  },\n  \"histograms\": {";
   first = true;
   for (const auto& h : snapshot.histograms) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_json_string(out, h.name);
-    out += ": {\"buckets\": [";
+    key(h.name);
+    out += "{\"buckets\": [";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += '[';
-      out += format_double(h.bounds[i]);
+      number(i > 0 ? ", [" : "[", h.bounds[i]);
       out += ", ";
       out += std::to_string(h.buckets[i]);
       out += ']';
     }
     out += "], \"overflow\": " + std::to_string(h.buckets.back()) +
-           ", \"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + format_double(h.sum) +
-           ", \"p50\": " + format_double(h.p50) +
-           ", \"p95\": " + format_double(h.p95) +
-           ", \"p99\": " + format_double(h.p99) + "}";
+           ", \"count\": " + std::to_string(h.count);
+    number(", \"sum\": ", h.sum);
+    number(", \"p50\": ", h.p50);
+    number(", \"p95\": ", h.p95);
+    number(", \"p99\": ", h.p99);
+    out += '}';
   }
   out += "\n  }\n}\n";
   return out;
@@ -418,13 +370,18 @@ std::string export_prometheus(const Snapshot& snapshot) {
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       cumulative += h.buckets[i];
-      out += h.name + "_bucket{le=\"" + format_double(h.bounds[i]) + "\"} " +
-             std::to_string(cumulative) + "\n";
+      out += h.name;
+      out += "_bucket{le=\"";
+      detail::append_json_double(out, h.bounds[i]);
+      out += "\"} " + std::to_string(cumulative) + "\n";
     }
     cumulative += h.buckets.back();
     out += h.name + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) +
            "\n";
-    out += h.name + "_sum " + format_double(h.sum) + "\n";
+    out += h.name;
+    out += "_sum ";
+    detail::append_json_double(out, h.sum);
+    out += '\n';
     out += h.name + "_count " + std::to_string(h.count) + "\n";
     // Streaming quantile estimates ride along as separate gauge
     // families: a `{quantile=...}` label on the histogram family name
@@ -432,7 +389,11 @@ std::string export_prometheus(const Snapshot& snapshot) {
     // strict exposition-format parsers.
     const auto quantile = [&](const char* suffix, double value) {
       header(h.name + suffix, "P2 streaming quantile of " + h.name, "gauge");
-      out += h.name + suffix + " " + format_double(value) + "\n";
+      out += h.name;
+      out += suffix;
+      out += ' ';
+      detail::append_json_double(out, value);
+      out += '\n';
     };
     quantile("_p50", h.p50);
     quantile("_p95", h.p95);

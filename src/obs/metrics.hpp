@@ -4,10 +4,8 @@
 // infrastructure; this is the same idea applied to the reproduction
 // pipeline itself.  Design constraints, in order:
 //
-//  * hot-path increments must be wait-free and cache-friendly — a
-//    Counter is a bank of cache-line-padded per-thread cells and inc()
-//    is one relaxed fetch_add on this thread's cell (no lock, no false
-//    sharing); the true total is summed only at snapshot time;
+//  * hot-path increments must be wait-free — a Counter is one atomic
+//    and inc() is one relaxed fetch_add (no lock);
 //  * registration is rare and may lock — callers resolve a metric once
 //    (by name, creating it on first use) and keep the returned
 //    reference, whose address is stable for the registry's lifetime;
@@ -29,17 +27,16 @@
 
 namespace pandarus::obs {
 
-/// Monotonic counter, thread-sharded.  inc() is a relaxed atomic add on
-/// a per-thread cache-line-padded cell; value() sums the cells (it may
-/// lag concurrent writers, which is fine for telemetry).
+/// Monotonic counter.  inc() is one relaxed atomic add; value() may lag
+/// concurrent writers, which is fine for telemetry.
 class Counter {
  public:
-  static constexpr std::size_t kShards = 64;  // power of two
-
   void inc(std::uint64_t delta = 1) noexcept {
-    cells_[shard_index()].v.fetch_add(delta, std::memory_order_relaxed);
+    v_.fetch_add(delta, std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t value() const noexcept;
+  [[nodiscard]] std::uint64_t value() const noexcept {
+    return v_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const std::string& help() const noexcept { return help_; }
 
@@ -48,20 +45,12 @@ class Counter {
   Counter(std::string name, std::string help);
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
-
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  /// Zeroes every cell (Registry::reset_for_test only).
-  void reset() noexcept;
-  /// Threads are spread over the cell bank round-robin at first use;
-  /// the assignment is per-thread for the whole process, so two
-  /// counters never force one thread onto different cache lines.
-  static std::size_t shard_index() noexcept;
+  /// Registry::reset_for_test only.
+  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
   std::string name_;
   std::string help_;
-  std::unique_ptr<Cell[]> cells_;
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Last-write-wins signed gauge (queue depths, heap sizes, in-flight
@@ -118,10 +107,9 @@ class P2Quantile {
 /// Prometheus-style histogram: `bounds` are strictly increasing upper
 /// bucket edges (a sample lands in the first bucket with value <=
 /// bound; larger samples land in the implicit +Inf bucket).  Buckets
-/// are plain atomics — histograms record per-task/per-job quantities,
-/// not per-candidate hot-loop ones, so sharding isn't warranted.
-/// Each histogram additionally feeds three P² sketches (p50/p95/p99)
-/// behind a short spin lock, same per-job cost argument.
+/// are plain atomics, like Counter.  Each histogram additionally feeds
+/// three P² sketches (p50/p95/p99) behind a short spin lock; histograms
+/// record per-task/per-job quantities, so the lock is cheap.
 class Histogram {
  public:
   void observe(double v) noexcept;

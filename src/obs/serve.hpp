@@ -21,8 +21,9 @@
 // Snapshot discipline: providers must read only (a) the EventLog's
 // published prefix via snapshot_ndjson()/watermark(), (b) mutex-guarded
 // aggregates (FlowTracker::totals()/link_ranking()), and (c) metric
-// snapshots — never staging buffers or live simulator state — so a
-// scrape observes a consistent store without blocking the sim thread.
+// snapshots — never unpublished lines or live simulator state — so a
+// scrape observes a consistent store without blocking the sim thread
+// for longer than one copy under the log's mutex.
 #pragma once
 
 #include <atomic>

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "obs/event_log.hpp"
 #include "util/log.hpp"
 
 namespace pandarus::obs {
@@ -151,21 +152,7 @@ std::string TraceRecorder::to_chrome_json() const {
 }
 
 bool TraceRecorder::write_chrome_trace(const std::string& path) const {
-  const std::string json = to_chrome_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: cannot open trace output file " + path);
-    return false;
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: short write to trace output file " + path);
-    return false;
-  }
-  return true;
+  return detail::write_text_file(path, to_chrome_json(), "trace");
 }
 
 }  // namespace pandarus::obs

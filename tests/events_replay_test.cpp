@@ -3,6 +3,7 @@
 // byte-identical NDJSON to an untraced one), and the replay cross-check
 // (analyses on an events-rebuilt store must equal the in-memory ones).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <sstream>
@@ -114,6 +115,18 @@ TEST(EventLog, OverflowDropsCountedAndStreamStaysValid) {
   for (const std::string& line : split_lines(log.to_ndjson())) {
     EXPECT_TRUE(JsonValidator(line).valid()) << line;
   }
+}
+
+TEST(EventLog, WriteToFullDiskFailsAndCountsAnIoError) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  obs::EventLog log;
+  log.install();
+  log.emit(obs::Event("tiny", 1, std::int64_t{1}));
+  log.uninstall();
+  // One short line fits stdio's buffer: fwrite reports success and the
+  // full disk only shows at fflush/fclose.
+  EXPECT_FALSE(log.write_ndjson("/dev/full"));
+  EXPECT_EQ(log.io_errors(), 1u);
 }
 
 TEST(EventLog, DisabledMeansNoRecording) {

@@ -6,6 +6,7 @@
 // tie-breaks, collapsed-stack rendering, flow_* event emission, and a
 // campaign-level invariant + determinism check.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <string>
@@ -315,6 +316,16 @@ TEST(FlowCollapsed, StacksAreLabeledAndDeterministic) {
             std::string::npos)
       << labeled;
   EXPECT_EQ(tracker.to_collapsed(), numeric);
+}
+
+TEST(FlowCollapsed, WriteToFullDiskFails) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  obs::FlowTracker tracker(/*emit=*/false);
+  FlowBuilder fb(tracker);
+  fb.begin(8, 0).broker(7, 10);
+  tracker.end_flow(8, 400, false, 0);
+  ASSERT_FALSE(tracker.to_collapsed().empty());
+  EXPECT_FALSE(tracker.write_collapsed("/dev/full"));
 }
 
 // --- event emission ---------------------------------------------------------

@@ -1,13 +1,17 @@
-// Tests for the obs layer: sharded counter aggregation under thread
-// contention, histogram bucket edges, exporter well-formedness (parsed
-// back with a minimal JSON parser), trace-event recording, registry
-// reset, env-hook idempotency, and the determinism guard (instrumented
-// and uninstrumented campaigns must produce identical matched-job
-// counts).
+// Tests for the obs layer: counter aggregation under thread contention,
+// histogram bucket edges, exporter well-formedness (parsed back with a
+// minimal JSON parser), trace-event recording, registry reset, env-hook
+// idempotency, file writers failing on a full disk, and the determinism
+// guard (instrumented and uninstrumented campaigns must produce
+// identical matched-job counts).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -272,6 +276,18 @@ TEST(ObsTrace, NoRecorderMeansNoRecording) {
   EXPECT_EQ(recorder.event_count(), 0u);
 }
 
+TEST(ObsTrace, WriteToFullDiskFails) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  obs::TraceRecorder recorder;
+  recorder.install();
+  {
+    const obs::ScopedSpan span("tiny", "test");
+  }
+  recorder.uninstall();
+  // The small document fits stdio's buffer, so only fflush/fclose fail.
+  EXPECT_FALSE(recorder.write_chrome_trace("/dev/full"));
+}
+
 // --- registry reset ---------------------------------------------------------
 
 TEST(ObsRegistry, ResetForTestZeroesValuesButKeepsRegistrations) {
@@ -307,6 +323,18 @@ TEST(ObsEnv, InstallEnvHooksIsIdempotent) {
   const bool first = obs::install_env_hooks();
   const bool second = obs::install_env_hooks();
   EXPECT_EQ(first, second);
+}
+
+TEST(ObsEnv, WriteTextFileReportsFullDisk) {
+  const std::string path = ::testing::TempDir() + "obs_write_text_file.json";
+  ASSERT_TRUE(obs::detail::write_text_file(path, "{}\n", "metrics"));
+  std::ifstream in(path);
+  std::stringstream read;
+  read << in.rdbuf();
+  EXPECT_EQ(read.str(), "{}\n");
+  std::remove(path.c_str());
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(obs::detail::write_text_file("/dev/full", "{}\n", "metrics"));
 }
 
 // --- determinism guard ------------------------------------------------------

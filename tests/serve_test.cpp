@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -521,8 +522,7 @@ TEST(EventLogServe, PublishAdvancesTheWatermark) {
   for (std::int64_t i = 0; i < 10; ++i) {
     log.emit(obs::Event("tick", i, i));
   }
-  // Ten lines sit in this thread's staging buffer, below the drain
-  // batch: nothing is published yet.
+  // Ten lines are below the publish batch: nothing is published yet.
   EXPECT_EQ(log.watermark(), 0u);
   EXPECT_EQ(log.publish(), 10u);
   EXPECT_EQ(log.watermark(), 10u);
@@ -549,20 +549,40 @@ TEST(EventLogServe, SnapshotStreamsIncrementally) {
   EXPECT_EQ(second.find("\"a\""), std::string::npos);
 }
 
-TEST(EventLogServe, UnpublishedForeignBufferStallsTheWatermark) {
+TEST(EventLogServe, FullBatchAdvancesTheWatermarkWithoutPublish) {
   obs::EventLog log;
   log.install();
-  // A second thread emits one line and exits without filling its batch:
-  // its line is staged, unpublished.
+  for (std::int64_t i = 0; i < 1024; ++i) {
+    log.emit(obs::Event("tick", i, i));
+  }
+  // A full batch publishes itself; the next partial batch waits.
+  EXPECT_EQ(log.watermark(), 1024u);
+  for (std::int64_t i = 1024; i < 1034; ++i) {
+    log.emit(obs::Event("tock", i, i));
+  }
+  EXPECT_EQ(log.watermark(), 1024u);
+  EXPECT_EQ(log.publish(), 1034u);
+  std::string tail;
+  EXPECT_EQ(log.snapshot_ndjson(tail, 1024), 1034u);
+  log.uninstall();
+  EXPECT_EQ(std::count(tail.begin(), tail.end(), '\n'), 10);
+  EXPECT_EQ(tail.find("\"tick\""), std::string::npos);
+  EXPECT_EQ(tail.rfind("{\"ts\":1024,\"kind\":\"tock\"", 0), 0u) << tail;
+}
+
+TEST(EventLogServe, PublishCoversLinesFromEveryThread) {
+  obs::EventLog log;
+  log.install();
+  // A second thread emits one line and exits without publishing.
   std::thread other([&log] { log.emit(obs::Event("other", 1, 1)); });
   other.join();
   log.emit(obs::Event("mine", 2, 2));
-  log.publish();
-  // One of the two seqs is still staged in the (dead) foreign buffer,
-  // so the watermark cannot cover both lines.
-  EXPECT_LT(log.watermark(), 2u);
-  // close() drains every buffer (emitters have quiesced) and the
-  // watermark reaches the full stream, stats line included.
+  // One stream: this thread's publish() covers the other thread's line.
+  EXPECT_EQ(log.publish(), 2u);
+  std::string both;
+  log.snapshot_ndjson(both);
+  EXPECT_EQ(both, log.to_ndjson());
+  // close() appends the stats line and publishes it too.
   log.close();
   EXPECT_EQ(log.watermark(), 3u);
   std::string all;
