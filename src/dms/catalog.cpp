@@ -141,6 +141,7 @@ bool ReplicaCatalog::add_replica(FileId file, RseId rse) {
   list.push_back(rse);
   ++total_;
   rses_->rse_mutable(rse).used_bytes += size;
+  bump_version(file);
   return true;
 }
 
@@ -154,7 +155,14 @@ bool ReplicaCatalog::remove_replica(FileId file, RseId rse) {
   Rse& r = rses_->rse_mutable(rse);
   const std::uint64_t size = files_->file(file).size_bytes;
   r.used_bytes = r.used_bytes >= size ? r.used_bytes - size : 0;
+  bump_version(file);
   return true;
+}
+
+void ReplicaCatalog::bump_version(FileId file) {
+  const DatasetId dataset = files_->file(file).dataset;
+  if (dataset_version_.size() <= dataset) dataset_version_.resize(dataset + 1);
+  ++dataset_version_[dataset];
 }
 
 bool ReplicaCatalog::has_replica(FileId file, RseId rse) const {

@@ -124,10 +124,20 @@ class ReplicaCatalog {
 
   [[nodiscard]] std::size_t replica_count() const noexcept { return total_; }
 
+  /// Bumped on every replica added to or removed from a file of
+  /// `dataset` (0 until the first change), so a reader can tell whether
+  /// the dataset's replica state moved since it last looked.
+  [[nodiscard]] std::uint64_t dataset_version(DatasetId dataset) const {
+    return dataset < dataset_version_.size() ? dataset_version_[dataset] : 0;
+  }
+
  private:
+  void bump_version(FileId file);
+
   const FileCatalog* files_;
   RseRegistry* rses_;
   std::vector<std::vector<RseId>> by_file_;
+  std::vector<std::uint64_t> dataset_version_;
   std::size_t total_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "dms/rule.hpp"
 
-#include <algorithm>
+#include <array>
+#include <span>
 
 #include "obs/event_log.hpp"
 
@@ -29,34 +30,53 @@ RuleEngine::RuleEngine(sim::Scheduler& scheduler,
     : RuleEngine(scheduler, topology, catalog, replicas, rses, engine, rng,
                  Params{}) {}
 
+void RuleEngine::refresh(Rule& rule) {
+  const std::span<const FileId> files = catalog_.files_of(rule.spec.dataset);
+  const std::uint64_t version = replicas_.dataset_version(rule.spec.dataset);
+  if (version == rule.replica_version && files.size() == rule.file_count) {
+    return;
+  }
+  rule.replica_version = version;
+  rule.file_count = files.size();
+  rule.under_copied.clear();
+  for (FileId file : files) {
+    std::uint32_t disk_copies = 0;
+    for (RseId rse_id : replicas_.replicas(file)) {
+      if (rses_.rse(rse_id).kind == RseKind::kDisk) ++disk_copies;
+    }
+    if (disk_copies < rule.spec.copies) rule.under_copied.push_back(file);
+  }
+}
+
 std::uint32_t RuleEngine::evaluate_once() {
   ++stats_.passes;
   if (rules_.empty()) return 0;
 
+  // Candidate destinations, one list per grid::Tier: the topology
+  // cannot change during a pass.
+  std::array<std::vector<grid::SiteId>, 4> sites_by_tier;
+  for (std::size_t tier = 0; tier < sites_by_tier.size(); ++tier) {
+    sites_by_tier[tier] =
+        topology_.sites_of_tier(static_cast<grid::Tier>(tier));
+  }
   std::uint32_t submitted = 0;
-  // Candidate destinations are recomputed per rule; round-robin over the
-  // rules so every dataset gets evaluated across passes even when the
-  // per-pass transfer budget is exhausted early.
+  // Round-robin over the rules so every dataset gets evaluated across
+  // passes even when the per-pass transfer budget is exhausted early.
+  // Submitting moves no replica, so a refreshed list stays exact for
+  // the rest of the pass.
   for (std::size_t visited = 0;
        visited < rules_.size() && submitted < params_.max_transfers_per_pass;
        ++visited) {
-    const ReplicationRule& rule = rules_[next_rule_];
+    Rule& rule = rules_[next_rule_];
     next_rule_ = (next_rule_ + 1) % rules_.size();
 
-    std::vector<grid::SiteId> tier_sites =
-        topology_.sites_of_tier(rule.target_tier);
+    const std::vector<grid::SiteId>& tier_sites =
+        sites_by_tier.at(static_cast<std::size_t>(rule.spec.target_tier));
     if (tier_sites.empty()) continue;
 
-    for (FileId file : catalog_.files_of(rule.dataset)) {
+    refresh(rule);
+    for (FileId file : rule.under_copied) {
       if (submitted >= params_.max_transfers_per_pass) break;
-
-      // Count disk replicas and remember which target-tier sites already
-      // hold one so we do not place duplicates.
-      std::uint32_t disk_copies = 0;
-      for (RseId rse_id : replicas_.replicas(file)) {
-        if (rses_.rse(rse_id).kind == RseKind::kDisk) ++disk_copies;
-      }
-      if (disk_copies >= rule.copies) continue;
 
       // Pick a destination at the target tier that lacks the file.
       grid::SiteId dst = grid::kUnknownSite;

@@ -45,14 +45,16 @@ class RuleEngine {
              const FileCatalog& catalog, ReplicaCatalog& replicas,
              const RseRegistry& rses, TransferEngine& engine, util::Rng rng);
 
-  void add_rule(ReplicationRule rule) { rules_.push_back(rule); }
+  void add_rule(ReplicationRule rule) { rules_.push_back({rule, 0, 0, {}}); }
   [[nodiscard]] std::size_t rule_count() const noexcept {
     return rules_.size();
   }
 
   /// One evaluation pass: submit rebalance transfers (no task provenance)
   /// for every file whose rule is under-satisfied, up to the per-pass cap.
-  /// Returns the number of transfers submitted.
+  /// Returns the number of transfers submitted.  Only datasets whose
+  /// replicas or files changed since a rule last looked are rescanned;
+  /// the submissions and RNG draws are those of a full scan.
   std::uint32_t evaluate_once();
 
   /// Schedules evaluate_once() every `evaluation_interval` until `until`.
@@ -64,8 +66,24 @@ class RuleEngine {
   std::uint32_t stage_from_tape(DatasetId dataset, grid::SiteId site);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// The engine's draw state, so a determinism check can compare it
+  /// with a reference implementation's.
+  [[nodiscard]] const util::Rng& rng() const noexcept { return rng_; }
 
  private:
+  /// A rule plus its cached under-copied files, in files_of() order.
+  /// The cache is valid while the dataset's replica version and file
+  /// count match the ones it was built at; the zero start state is
+  /// consistent for a dataset with neither files nor replica changes.
+  struct Rule {
+    ReplicationRule spec;
+    std::uint64_t replica_version = 0;
+    std::size_t file_count = 0;
+    std::vector<FileId> under_copied;
+  };
+  /// Rebuilds `rule.under_copied` if its dataset changed.
+  void refresh(Rule& rule);
+
   sim::Scheduler& scheduler_;
   const grid::Topology& topology_;
   const FileCatalog& catalog_;
@@ -76,7 +94,7 @@ class RuleEngine {
   util::Rng rng_;
   Params params_;
   Stats stats_;
-  std::vector<ReplicationRule> rules_;
+  std::vector<Rule> rules_;
   std::size_t next_rule_ = 0;  ///< round-robin cursor across passes
 };
 

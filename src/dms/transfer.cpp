@@ -34,7 +34,8 @@ struct EngineMetrics {
       "Per-link fair-share rate re-evaluations");
   obs::Counter& reschedules = obs::Registry::global().counter(
       "pandarus_dms_transfer_reschedules_total",
-      "Completion events moved because link sharing changed");
+      "Link completion events moved because link sharing changed (one per "
+      "non-empty rerate)");
   obs::Gauge& in_flight = obs::Registry::global().gauge(
       "pandarus_dms_transfers_in_flight",
       "Transfers submitted but not yet finalized");
@@ -86,7 +87,6 @@ struct TransferEngine::Active {
   double bytes_done = 0.0;
   double rate_bps = 0.0;
   util::SimTime last_update = 0;
-  sim::Scheduler::EventHandle finish_event;
 };
 
 struct TransferEngine::LinkState {
@@ -97,6 +97,11 @@ struct TransferEngine::LinkState {
   /// (not by the scheduler callback) so nothing leaks if the scheduler
   /// is torn down with events still queued.
   std::vector<std::unique_ptr<Active>> delayed;
+  /// The link's one pending completion event: it fires at the earliest
+  /// finish time among `active` and completes `finisher`.  Any change of
+  /// link membership or rates ends in update_rates(), which moves it.
+  sim::Scheduler::EventHandle finish_event;
+  Active* finisher = nullptr;
   sim::Scheduler::EventHandle rerate_event;
   sim::Scheduler::EventHandle wake_event;
 
@@ -323,6 +328,7 @@ void TransferEngine::start_one(LinkState& ls) {
 }
 
 void TransferEngine::update_rates(LinkState& ls) {
+  ls.finish_event.cancel();
   if (ls.active.empty()) {
     ls.rerate_event.cancel();
     return;
@@ -338,8 +344,13 @@ void TransferEngine::update_rates(LinkState& ls) {
   const double fair_share =
       capacity / static_cast<double>(ls.active.size());
   EngineMetrics::get().link_rerates.inc();
-  EngineMetrics::get().reschedules.inc(ls.active.size());
+  EngineMetrics::get().reschedules.inc();
 
+  // Only the earliest finisher needs an event: complete() ends in
+  // update_rates(), which recomputes every other ETA.  Equal finish
+  // times go to the lowest index, so ties complete in admission order.
+  Active* first = nullptr;
+  util::SimTime first_at = 0;
   for (auto& active : ls.active) {
     // Account progress since the last rate change.
     if (now > active->last_update && active->rate_bps > 0.0) {
@@ -357,17 +368,18 @@ void TransferEngine::update_rates(LinkState& ls) {
                           active->bytes_done);
     const auto eta = static_cast<util::SimDuration>(
         std::ceil(remaining / active->rate_bps * 1000.0));
-    active->finish_event.cancel();
-    Active* raw = active.get();
     const util::SimTime finish_at =
         active->abort_immediately
             ? now
             : active->last_update + std::max<util::SimDuration>(eta, 1);
-    active->finish_event =
-        scheduler_.schedule_at(finish_at, [this, &ls, raw] {
-          complete(ls, raw);
-        });
+    if (first == nullptr || finish_at < first_at) {
+      first = active.get();
+      first_at = finish_at;
+    }
   }
+  ls.finisher = first;
+  ls.finish_event = scheduler_.schedule_at(
+      first_at, [this, &ls] { complete(ls, ls.finisher); });
 }
 
 void TransferEngine::schedule_rerate(LinkState& ls) {
@@ -505,7 +517,6 @@ void TransferEngine::complete(LinkState& ls, Active* active) {
                          /*terminal=*/false, /*registered=*/false);
     }
     done->attempt += 1;
-    done->finish_event = {};
     done->rate_bps = 0.0;
     done->doomed = false;
     done->abort_immediately = false;
@@ -665,7 +676,7 @@ void TransferEngine::on_fault(const fault::FaultWindow& window, bool begin) {
         raws.push_back(a.get());
       }
       for (Active* raw : raws) {
-        raw->finish_event.cancel();
+        ls->finish_event.cancel();
         complete(*ls, raw);
       }
     }

@@ -4,7 +4,8 @@
 // (time, sequence) ordered events.  Ties are broken by insertion order,
 // which — together with the seeded RNG — makes every campaign run
 // bit-for-bit deterministic.  Events may be cancelled (the transfer
-// engine reschedules completion events whenever link sharing changes).
+// engine moves each link's completion event whenever link sharing
+// changes).
 #pragma once
 
 #include <cstdint>

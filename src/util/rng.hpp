@@ -91,6 +91,9 @@ class Rng {
   /// Zero-weight entries are never selected; requires a positive total.
   std::size_t weighted_index(std::span<const double> weights) noexcept;
 
+  /// Same state: both generators will draw the same sequence.
+  bool operator==(const Rng&) const noexcept = default;
+
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& items) noexcept {

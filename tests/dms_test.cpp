@@ -3,12 +3,17 @@
 // engine's bandwidth sharing / failure injection.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dms/catalog.hpp"
 #include "dms/deletion.hpp"
 #include "dms/rule.hpp"
 #include "dms/selector.hpp"
 #include "dms/transfer.hpp"
 #include "grid/builder.hpp"
+#include "obs/event_log.hpp"
 #include "sim/scheduler.hpp"
 
 namespace pandarus::dms {
@@ -336,6 +341,48 @@ TEST(TransferEngine, QueueingBeyondMaxActive) {
   EXPECT_EQ(engine.stats().completed, 4u);
 }
 
+TEST(TransferEngine, OneCompletionEventPerLink) {
+  World w;
+  // One slow link with four slots: every transfer outlives a rerate
+  // tick, and each completion changes the survivors' share.
+  grid::NetworkLink link = w.topo.link(w.t0, w.t2);
+  link.capacity_bps = 40e6;
+  link.max_active = 4;
+  w.topo.add_link(link);
+  TransferEngine engine(w.scheduler, w.topo, w.replicas, util::Rng(1),
+                        w.quiet_params());
+  const DatasetId ds = w.catalog.create_dataset("mc23", "d");
+  // The two 6 GB transfers tie on their ETA: the lower id completes
+  // first, the other 1 ms later on the ETA recomputed at that instant.
+  const std::uint64_t sizes[] = {4'000'000'000, 6'000'000'000,
+                                 6'000'000'000, 8'000'000'000};
+  std::vector<std::pair<std::uint64_t, util::SimTime>> finished;
+  for (std::size_t i = 0; i < 4; ++i) {
+    TransferRequest req;
+    req.file = w.catalog.add_file(ds, sizes[i]);
+    req.size_bytes = sizes[i];
+    req.src = w.t0;
+    req.dst = w.t2;
+    req.on_complete = [&](const TransferOutcome& o) {
+      finished.emplace_back(o.transfer_id, o.finished_at);
+    };
+    const std::uint64_t queued = w.scheduler.queued_count();
+    engine.submit(std::move(req));
+    // The link's completion event moves: one new heap entry however
+    // many transfers share the link (the first submit also arms the
+    // rerate tick).
+    EXPECT_EQ(w.scheduler.queued_count() - queued, i == 0 ? 2u : 1u);
+  }
+  w.scheduler.run();
+  // Pinned finish times and completion order, tie included: how the
+  // engine schedules completions must not move them.
+  const std::vector<std::pair<std::uint64_t, util::SimTime>> expected = {
+      {1, 400'001}, {2, 550'001}, {3, 550'002}, {4, 600'002}};
+  EXPECT_EQ(finished, expected);
+  EXPECT_EQ(engine.stats().completed, 4u);
+  EXPECT_EQ(engine.in_flight(), 0u);
+}
+
 TEST(TransferEngine, SequentialSiteStagesOneAtATime) {
   World w;
   // Local link with max_active = 1 (sequential staging, Fig. 10).
@@ -506,6 +553,219 @@ TEST(RuleEngine, RespectsPerPassCap) {
   }
   rules.add_rule({ds, 2, grid::Tier::kT1});
   EXPECT_EQ(rules.evaluate_once(), 3u);
+}
+
+TEST(RuleEngine, ReevaluatesAfterReplicaRemoval) {
+  World w;
+  TransferEngine engine(w.scheduler, w.topo, w.replicas, util::Rng(1),
+                        w.quiet_params());
+  RuleEngine rules(w.scheduler, w.topo, w.catalog, w.replicas, w.rses,
+                   engine, util::Rng(2), RuleEngine::Params{});
+  const DatasetId ds = w.catalog.create_dataset("mc23", "d");
+  std::vector<FileId> files;
+  for (int i = 0; i < 3; ++i) {
+    files.push_back(w.catalog.add_file(ds, 1'000'000));
+    w.replicas.add_replica(files.back(), w.t0_disk);
+    w.replicas.add_replica(files.back(), w.t1_disk);
+  }
+  rules.add_rule({ds, 2, grid::Tier::kT1});
+  EXPECT_EQ(rules.evaluate_once(), 0u);
+  EXPECT_EQ(rules.evaluate_once(), 0u);
+
+  ASSERT_TRUE(w.replicas.remove_replica(files[1], w.t1_disk));
+  EXPECT_EQ(rules.evaluate_once(), 1u);
+  w.scheduler.run();
+  EXPECT_TRUE(w.replicas.has_replica(files[1], w.t1_disk));
+  EXPECT_EQ(rules.evaluate_once(), 0u);
+}
+
+TEST(RuleEngine, PicksUpFilesAddedAfterTheRule) {
+  World w;
+  TransferEngine engine(w.scheduler, w.topo, w.replicas, util::Rng(1),
+                        w.quiet_params());
+  RuleEngine rules(w.scheduler, w.topo, w.catalog, w.replicas, w.rses,
+                   engine, util::Rng(2), RuleEngine::Params{});
+  const DatasetId ds = w.catalog.create_dataset("mc23", "d");
+  rules.add_rule({ds, 2, grid::Tier::kT1});
+  EXPECT_EQ(rules.evaluate_once(), 0u);  // empty dataset
+  const util::Rng idle = rules.rng();
+
+  // No replica moved, so only the file count tells the rule to look.
+  // The new file has no source yet, but evaluating it still draws its
+  // destination, as a full scan does.
+  const FileId f = w.catalog.add_file(ds, 1'000'000);
+  EXPECT_EQ(rules.evaluate_once(), 0u);
+  EXPECT_FALSE(rules.rng() == idle);
+
+  w.replicas.add_replica(f, w.t0_disk);
+  EXPECT_EQ(rules.evaluate_once(), 1u);
+  w.scheduler.run();
+  EXPECT_TRUE(w.replicas.has_replica(f, w.t1_disk));
+  EXPECT_EQ(rules.evaluate_once(), 0u);
+}
+
+/// Brute-force reference for RuleEngine::evaluate_once: the full
+/// rule x file x replica scan on every pass, with the same round-robin
+/// cursor, per-pass budget and RNG draws.  Returns each submission as
+/// the `"file":..,"bytes":..,"src":..,"dst":..` fields of its
+/// transfer_submit event.
+struct ReferenceRules {
+  std::vector<ReplicationRule> rules;
+  std::uint32_t budget = 0;
+  util::Rng rng;
+  std::size_t next_rule = 0;
+
+  std::vector<std::string> pass(const World& w,
+                                const ReplicaSelector& selector) {
+    std::vector<std::string> out;
+    for (std::size_t visited = 0;
+         visited < rules.size() && out.size() < budget; ++visited) {
+      const ReplicationRule& rule = rules[next_rule];
+      next_rule = (next_rule + 1) % rules.size();
+      const std::vector<grid::SiteId> tier_sites =
+          w.topo.sites_of_tier(rule.target_tier);
+      if (tier_sites.empty()) continue;
+      for (FileId file : w.catalog.files_of(rule.dataset)) {
+        if (out.size() >= budget) break;
+        std::uint32_t disk_copies = 0;
+        for (RseId rse_id : w.replicas.replicas(file)) {
+          if (w.rses.rse(rse_id).kind == RseKind::kDisk) ++disk_copies;
+        }
+        if (disk_copies >= rule.copies) continue;
+        grid::SiteId dst = grid::kUnknownSite;
+        const std::size_t offset = rng.uniform_index(tier_sites.size());
+        for (std::size_t k = 0; k < tier_sites.size(); ++k) {
+          const grid::SiteId candidate =
+              tier_sites[(offset + k) % tier_sites.size()];
+          if (!w.replicas.on_disk_at_site(file, candidate) &&
+              w.rses.disk_at(candidate) != kNoRse) {
+            dst = candidate;
+            break;
+          }
+        }
+        if (dst == grid::kUnknownSite) continue;
+        const RseId source =
+            selector.select_source(file, dst, w.scheduler.now());
+        if (source == kNoRse) continue;
+        std::string fields = "\"file\":";
+        fields += std::to_string(file);
+        fields += ",\"bytes\":";
+        fields += std::to_string(w.catalog.file(file).size_bytes);
+        fields += ",\"src\":";
+        fields += std::to_string(w.rses.rse(source).site);
+        fields += ",\"dst\":";
+        fields += std::to_string(dst);
+        out.push_back(std::move(fields));
+      }
+    }
+    return out;
+  }
+};
+
+/// The same fields, cut from the transfer_submit lines of `ndjson`.
+std::vector<std::string> submissions(const std::string& ndjson) {
+  std::vector<std::string> out;
+  std::size_t at = 0;
+  while ((at = ndjson.find("\"kind\":\"transfer_submit\"", at)) !=
+         std::string::npos) {
+    const std::size_t from = ndjson.find("\"file\":", at);
+    const std::size_t to = ndjson.find(",\"activity\":", from);
+    out.push_back(ndjson.substr(from, to - from));
+    at = to;
+  }
+  return out;
+}
+
+TEST(RuleEngine, IncrementalPassesMatchAFullScan) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    World w;
+    // More target sites, one without a DISK RSE, so destination draws
+    // and skipped candidates show up in the submissions.
+    const auto add_site = [&](const char* name, grid::Tier tier,
+                              bool disk) {
+      grid::Site s;
+      s.name = name;
+      s.tier = tier;
+      const grid::SiteId id = w.topo.add_site(s);
+      if (disk) {
+        Rse r;
+        r.name = name;
+        r.name += "_DISK";
+        r.site = id;
+        r.kind = RseKind::kDisk;
+        w.rses.add(std::move(r));
+      }
+    };
+    add_site("T1B", grid::Tier::kT1, true);
+    add_site("T1C", grid::Tier::kT1, false);
+    add_site("T2B", grid::Tier::kT2, true);
+
+    TransferEngine engine(w.scheduler, w.topo, w.replicas, util::Rng(seed),
+                          w.quiet_params());
+    RuleEngine::Params params;
+    params.max_transfers_per_pass = 7;
+    RuleEngine rules(w.scheduler, w.topo, w.catalog, w.replicas, w.rses,
+                     engine, util::Rng(seed * 31), params);
+    ReferenceRules ref;
+    ref.budget = params.max_transfers_per_pass;
+    ref.rng = util::Rng(seed * 31);
+    const ReplicaSelector selector(w.topo, w.rses, w.replicas);
+
+    std::vector<DatasetId> datasets;
+    for (int d = 0; d < 4; ++d) {
+      std::string name = "d";
+      name += std::to_string(d);
+      datasets.push_back(w.catalog.create_dataset("mc23", std::move(name)));
+    }
+    // Two rules share dataset 0; the T0 rule has a single candidate site.
+    const std::vector<ReplicationRule> specs = {
+        {datasets[0], 2, grid::Tier::kT1}, {datasets[1], 1, grid::Tier::kT1},
+        {datasets[2], 3, grid::Tier::kT2}, {datasets[0], 3, grid::Tier::kT2},
+        {datasets[3], 2, grid::Tier::kT0}};
+    util::Rng ops(seed);
+    std::size_t specs_added = 0;
+    for (int step = 0; step < 300; ++step) {
+      const std::size_t op = ops.uniform_index(7);
+      const std::size_t files = w.catalog.file_count();
+      const auto any_rse = [&] {
+        return static_cast<RseId>(ops.uniform_index(w.rses.count()));
+      };
+      if (op == 0 && specs_added < specs.size()) {
+        rules.add_rule(specs[specs_added]);
+        ref.rules.push_back(specs[specs_added]);
+        ++specs_added;
+      } else if (op == 1 || files == 0) {
+        const FileId f = w.catalog.add_file(
+            datasets[ops.uniform_index(datasets.size())], 1'000'000);
+        if (ops.bernoulli(0.5)) w.replicas.add_replica(f, any_rse());
+      } else if (op == 2) {
+        w.replicas.add_replica(
+            static_cast<FileId>(ops.uniform_index(files)), any_rse());
+      } else if (op == 3) {
+        // Removals aimed at existing replicas, so most of them land.
+        const auto f = static_cast<FileId>(ops.uniform_index(files));
+        const auto held = w.replicas.replicas(f);
+        if (!held.empty()) {
+          w.replicas.remove_replica(f, held[ops.uniform_index(held.size())]);
+        }
+      } else if (op == 4) {
+        // Finish what earlier passes submitted: successful transfers
+        // register replicas through the catalog like any other add.
+        w.scheduler.run();
+      } else {
+        const std::vector<std::string> expected = ref.pass(w, selector);
+        obs::EventLog log;
+        log.install();
+        const std::uint32_t submitted = rules.evaluate_once();
+        log.uninstall();
+        EXPECT_EQ(submitted, expected.size());
+        EXPECT_EQ(submissions(log.to_ndjson()), expected);
+        EXPECT_TRUE(rules.rng() == ref.rng);
+      }
+    }
+    EXPECT_GT(rules.stats().transfers_submitted, 0u);
+  }
 }
 
 TEST(DeletionDaemon, ExpiresOnlyTransientDiskReplicas) {
