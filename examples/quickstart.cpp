@@ -35,8 +35,7 @@ void print_match_funnel(const pandarus::obs::Snapshot& snap) {
             << c("pandarus_match_jobs_matched_total") << "\n"
             << "  candidates scanned       "
             << c("pandarus_match_candidates_scanned_total")
-            << " (taskid -" << c("pandarus_match_reject_taskid_total")
-            << ", attr-key -" << c("pandarus_match_reject_attr_key_total")
+            << " (attr-key -" << c("pandarus_match_reject_attr_key_total")
             << ", time -" << c("pandarus_match_reject_time_total")
             << ", site -" << c("pandarus_match_reject_site_total") << ")\n";
 }

@@ -228,10 +228,8 @@ struct LiveCache {
     std::istringstream in(std::move(ndjson));
     const ReplayResult replay = replay_events(in);
     // Match only once harvest records exist: the store is empty until
-    // the campaign's closing harvest, and skipping the matcher before
-    // that keeps mid-campaign scrapes from advancing the global match
-    // counters the Sampler records (NDJSON byte-identity, server on or
-    // off).
+    // the campaign's closing harvest, so mid-campaign scrapes would
+    // build an index and run three methods over nothing.
     core::TriMatchResult tri;
     const auto counts = replay.store.counts();
     if (counts.jobs > 0 || counts.transfers > 0) {

@@ -38,15 +38,14 @@ constexpr util::SimTime kNoLowerBound =
 /// The Table-2-style coverage funnel, process-wide and cumulative over
 /// every run/method.  Candidate-stage counters are filled by
 /// collect_candidates (so diagnose_job contributes too); job-stage
-/// counters only by match_job.  Hot loops accumulate in plain locals
-/// and flush here once per job, so the per-candidate cost is zero.
+/// counters only by match_job, from evaluate()'s outcome.  Hot loops
+/// accumulate in plain locals and flush here once per job, so the
+/// per-candidate cost is zero.
 struct FunnelMetrics {
   obs::Counter& candidates_scanned = obs::Registry::global().counter(
       "pandarus_match_candidates_scanned_total",
-      "Transfer candidates examined (per file-row scan)");
-  obs::Counter& reject_taskid = obs::Registry::global().counter(
-      "pandarus_match_reject_taskid_total",
-      "Candidates rejected: jeditaskid mismatch");
+      "Transfer candidates examined: transfers sharing a bridging file "
+      "row's (lfn, jeditaskid)");
   obs::Counter& reject_attr_key = obs::Registry::global().counter(
       "pandarus_match_reject_attr_key_total",
       "Candidates rejected: composite attribute key mismatch");
@@ -56,7 +55,7 @@ struct FunnelMetrics {
       "window's lookback");
   obs::Counter& candidates_accepted = obs::Registry::global().counter(
       "pandarus_match_candidates_accepted_total",
-      "Candidates surviving attribute, taskid and time filters");
+      "Candidates surviving attribute and time filters");
   obs::Counter& reject_size_sum = obs::Registry::global().counter(
       "pandarus_match_reject_size_sum_total",
       "Jobs rejected: candidate size sum matched neither byte total");
@@ -107,8 +106,8 @@ bool site_condition(const TransferRecord& t, const JobRecord& j,
 }  // namespace
 
 const std::vector<std::size_t>& Matcher::collect_candidates(
-    std::size_t job_index, const MatchOptions& options,
-    util::SimTime not_before, std::size_t* file_rows) const {
+    std::size_t job_index, util::SimTime not_before,
+    std::size_t& file_rows) const {
   // Reused across jobs so the inner loop does no per-job allocate/free.
   // Per thread because the live /api/summary cache (LiveCache in
   // analysis/serve_endpoints.cpp) matches on the status server's HTTP
@@ -117,39 +116,32 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
   scratch.clear();
 
   const auto rows = index_->files_of_job(job_index);
-  if (file_rows != nullptr) *file_rows = rows.size();
+  file_rows = rows.size();
   if (rows.empty()) return scratch;
 
-  const telemetry::MetadataStore& store = index_->store();
-  const JobRecord& job = store.jobs()[job_index];
-  const auto files = store.files();
-  const auto transfers = store.transfers();
+  const JobRecord& job = index_->store().jobs()[job_index];
+  const auto transfers = index_->store().transfers();
 
-  // Candidate transfers: attribute-key-matched against any file row of
-  // F'_j (one integer compare — lfn equality is structural through the
-  // lfn-symbol group, the composite key covers the rest), then
-  // time-filtered (started in [not_before, job end)).  Funnel tallies stay
-  // in locals until the single flush below the loop.
+  // Candidate transfers: each file row of F'_j scans its (lfn,
+  // jeditaskid) group, one integer compare checks the composite
+  // attribute key, and the start time must fall in [not_before, job
+  // end).  Funnel tallies stay in locals until the flush below.
   std::uint64_t scanned = 0;
-  std::uint64_t rej_taskid = 0;
   std::uint64_t rej_key = 0;
   std::uint64_t rej_time = 0;
   std::size_t contributing_rows = 0;
   for (const std::uint32_t fi : rows) {
     const std::uint64_t fkey = index_->file_key(fi);
+    const auto group = index_->transfers_for_file(fi);
+    scanned += group.size();
     const std::size_t before = scratch.size();
-    for (const std::uint32_t ti : index_->transfers_with_lfn(files[fi].lfn_sym)) {
-      const TransferRecord& t = transfers[ti];
-      ++scanned;
-      if (options.require_taskid_match && t.jeditaskid != job.jeditaskid) {
-        ++rej_taskid;
-        continue;
-      }
+    for (const std::uint32_t ti : group) {
       if (index_->transfer_key(ti) != fkey) {
         ++rej_key;
         continue;
       }
-      if (t.started_at >= job.end_time || t.started_at < not_before) {
+      const util::SimTime started = transfers[ti].started_at;
+      if (started >= job.end_time || started < not_before) {
         ++rej_time;
         continue;
       }
@@ -160,15 +152,14 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
 
   FunnelMetrics& funnel = FunnelMetrics::get();
   funnel.candidates_scanned.inc(scanned);
-  if (rej_taskid > 0) funnel.reject_taskid.inc(rej_taskid);
   if (rej_key > 0) funnel.reject_attr_key.inc(rej_key);
   if (rej_time > 0) funnel.reject_time.inc(rej_time);
   funnel.candidates_accepted.inc(scratch.size());
 
-  // Each lfn group is already ascending, so a single contributing row
-  // needs no post-processing.  Multiple rows can interleave groups and —
-  // when a job carries the same lfn as both input and output — duplicate
-  // a transfer, so sort + dedup only then.
+  // Each group is already ascending, so a single contributing row needs
+  // no post-processing.  Multiple rows can interleave groups and — when
+  // a job carries the same lfn as both input and output — duplicate a
+  // transfer, so sort + dedup only then.
   if (contributing_rows > 1) {
     std::sort(scratch.begin(), scratch.end());
     scratch.erase(std::unique(scratch.begin(), scratch.end()),
@@ -177,74 +168,16 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
   return scratch;
 }
 
-MatchedJob Matcher::match_job(std::size_t job_index,
-                              const MatchOptions& options) const {
-  return match_job(job_index, options, kNoLowerBound);
-}
-
-MatchedJob Matcher::match_job(std::size_t job_index,
-                              const MatchOptions& options,
-                              util::SimTime not_before) const {
-  const telemetry::MetadataStore& store = index_->store();
-  const JobRecord& job = store.jobs()[job_index];
-  MatchedJob result;
-  result.job_index = job_index;
-
-  FunnelMetrics& funnel = FunnelMetrics::get();
-  funnel.jobs_examined.inc();
-
-  const auto transfers = store.transfers();
-  std::size_t file_rows = 0;
-  const std::vector<std::size_t>& candidates =
-      collect_candidates(job_index, options, not_before, &file_rows);
-  if (candidates.empty()) {
-    (file_rows == 0 ? funnel.jobs_no_file_rows : funnel.jobs_no_candidates)
-        .inc();
-    return result;
-  }
-
-  // Size-sum gate over the whole candidate set (exact method only).
-  if (options.enforce_size_sum) {
-    std::uint64_t sum = 0;
-    for (std::size_t ti : candidates) sum += transfers[ti].file_size;
-    if (sum != job.ninputfilebytes && sum != job.noutputfilebytes) {
-      funnel.reject_size_sum.inc();
-      return result;
-    }
-  }
-
-  // Direction/site condition per transfer.
-  std::uint64_t rej_site = 0;
-  for (std::size_t ti : candidates) {
-    const TransferRecord& t = transfers[ti];
-    if (!site_condition(t, job, options.relax_unknown_site)) {
-      ++rej_site;
-      continue;
-    }
-    result.transfer_indices.push_back(ti);
-    if (t.is_local()) {
-      ++result.local_transfers;
-    } else {
-      ++result.remote_transfers;
-    }
-  }
-  if (rej_site > 0) funnel.reject_site.inc(rej_site);
-  (result.transfer_indices.empty() ? funnel.jobs_site_eliminated
-                                   : funnel.jobs_matched)
-      .inc();
-  return result;
-}
-
-MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
-                                     const MatchOptions& options) const {
-  const telemetry::MetadataStore& store = index_->store();
-  const JobRecord& job = store.jobs()[job_index];
-  const auto transfers = store.transfers();
+MatchDiagnosis Matcher::evaluate(std::size_t job_index,
+                                 const MatchOptions& options,
+                                 util::SimTime not_before,
+                                 MatchedJob* matched) const {
+  const JobRecord& job = index_->store().jobs()[job_index];
+  const auto transfers = index_->store().transfers();
 
   MatchDiagnosis diagnosis;
   const std::vector<std::size_t>& candidates =
-      collect_candidates(job_index, options, kNoLowerBound,
-                         &diagnosis.file_rows);
+      collect_candidates(job_index, not_before, diagnosis.file_rows);
   if (diagnosis.file_rows == 0) {
     diagnosis.outcome = MatchOutcome::kNoFileRows;
     return diagnosis;
@@ -255,6 +188,7 @@ MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
     return diagnosis;
   }
 
+  // Size-sum gate over the whole candidate set (exact method only).
   for (std::size_t ti : candidates) {
     diagnosis.candidate_sum += transfers[ti].file_size;
   }
@@ -265,14 +199,59 @@ MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
     return diagnosis;
   }
 
+  // Direction/site condition per transfer.
   for (std::size_t ti : candidates) {
-    diagnosis.site_passing +=
-        site_condition(transfers[ti], job, options.relax_unknown_site);
+    const TransferRecord& t = transfers[ti];
+    if (!site_condition(t, job, options.relax_unknown_site)) continue;
+    ++diagnosis.site_passing;
+    if (matched == nullptr) continue;
+    matched->transfer_indices.push_back(ti);
+    if (t.is_local()) {
+      ++matched->local_transfers;
+    } else {
+      ++matched->remote_transfers;
+    }
   }
   diagnosis.outcome = diagnosis.site_passing > 0
                           ? MatchOutcome::kMatched
                           : MatchOutcome::kSiteCheckEliminatedAll;
   return diagnosis;
+}
+
+MatchedJob Matcher::match_job(std::size_t job_index,
+                              const MatchOptions& options) const {
+  return match_job(job_index, options, kNoLowerBound);
+}
+
+MatchedJob Matcher::match_job(std::size_t job_index,
+                              const MatchOptions& options,
+                              util::SimTime not_before) const {
+  MatchedJob result;
+  result.job_index = job_index;
+  const MatchDiagnosis diagnosis =
+      evaluate(job_index, options, not_before, &result);
+
+  FunnelMetrics& funnel = FunnelMetrics::get();
+  funnel.jobs_examined.inc();
+  switch (diagnosis.outcome) {
+    case MatchOutcome::kNoFileRows: funnel.jobs_no_file_rows.inc(); break;
+    case MatchOutcome::kNoCandidates: funnel.jobs_no_candidates.inc(); break;
+    case MatchOutcome::kSizeGateFailed: funnel.reject_size_sum.inc(); break;
+    case MatchOutcome::kSiteCheckEliminatedAll:
+      funnel.jobs_site_eliminated.inc();
+      break;
+    case MatchOutcome::kMatched: funnel.jobs_matched.inc(); break;
+  }
+  if (diagnosis.outcome >= MatchOutcome::kSiteCheckEliminatedAll &&
+      diagnosis.candidates > diagnosis.site_passing) {
+    funnel.reject_site.inc(diagnosis.candidates - diagnosis.site_passing);
+  }
+  return result;
+}
+
+MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
+                                     const MatchOptions& options) const {
+  return evaluate(job_index, options, kNoLowerBound, nullptr);
 }
 
 MatchResult Matcher::run(const MatchOptions& options) const {

@@ -3,8 +3,10 @@
 // Transfers carry no pandaid, so the algorithm pivots through the PanDA
 // file table: for job J_j, the file rows F'_j sharing its (pandaid,
 // jeditaskid) provide the attribute tuple {lfn, dataset, proddblock,
-// scope, file_size} that candidate transfers must match exactly.  The
-// final filter keeps candidates that
+// scope, file_size} that candidate transfers must match exactly, plus
+// the job's jeditaskid: the MatchIndex groups transfers by (lfn,
+// jeditaskid), so a scan visits only same-file, same-task transfers.
+// The final filter keeps candidates that
 //   (1) started before the job's end time,
 //   (2) — exact method only — whose total size S_j equals the job's
 //       ninputfilebytes or noutputfilebytes (evaluated over the whole
@@ -33,21 +35,15 @@ struct MatchOptions {
   bool enforce_size_sum = true;
   /// Accept transfers whose relevant endpoint is UNKNOWN (RM2 only).
   bool relax_unknown_site = false;
-  /// Require candidate transfers to carry the job's jeditaskid.  The
-  /// paper's accounting implies this (every linked transfer "with
-  /// jeditaskid" matches the task that owns the job); disabling it
-  /// admits anonymous rule-driven traffic as candidates — useful as an
-  /// ablation of how much provenance the task id actually carries.
-  bool require_taskid_match = true;
 
   [[nodiscard]] static MatchOptions exact() noexcept {
-    return {MatchMethod::kExact, true, false, true};
+    return {MatchMethod::kExact, true, false};
   }
   [[nodiscard]] static MatchOptions rm1() noexcept {
-    return {MatchMethod::kRM1, false, false, true};
+    return {MatchMethod::kRM1, false, false};
   }
   [[nodiscard]] static MatchOptions rm2() noexcept {
-    return {MatchMethod::kRM2, false, true, true};
+    return {MatchMethod::kRM2, false, true};
   }
   [[nodiscard]] static MatchOptions for_method(MatchMethod m) noexcept {
     switch (m) {
@@ -79,7 +75,7 @@ inline constexpr std::size_t kMatchOutcomeCount = 5;
 /// made queryable.
 struct MatchDiagnosis {
   MatchOutcome outcome = MatchOutcome::kNoFileRows;
-  std::size_t file_rows = 0;        ///< rows with matching jeditaskid
+  std::size_t file_rows = 0;        ///< bridging rows (same pandaid, task)
   std::size_t candidates = 0;       ///< attribute+time-matched transfers
   std::uint64_t candidate_sum = 0;  ///< S_j over the candidate set
   std::size_t site_passing = 0;     ///< candidates passing the site check
@@ -87,7 +83,7 @@ struct MatchDiagnosis {
 
 /// Matcher over one (already corrupted) metadata snapshot.  Construction
 /// builds (or adopts) the MatchIndex Algorithm 1 needs — file rows by
-/// (pandaid, jeditaskid) and transfers by interned lfn symbol — and is
+/// (pandaid, jeditaskid) and transfers by (lfn, jeditaskid) — and is
 /// then reusable across methods and threads (all queries are const).
 class Matcher {
  public:
@@ -128,18 +124,27 @@ class Matcher {
                                      const MatchOptions& options,
                                      util::SimTime not_before) const;
 
-  /// Candidate construction shared by match_job and diagnose_job:
-  /// attribute-key-matched, taskid-checked (per options), time-filtered
-  /// to [not_before, job end), deduplicated, ascending.  `file_rows`
-  /// (optional) receives the count of bridging file rows.  Returns a
-  /// per-thread scratch buffer valid until this thread's next call.
+  /// The pipeline behind match_job and diagnose_job: candidates, then
+  /// the size-sum gate, then the site check.  Site-passing transfers
+  /// are appended to `matched` when it is non-null.  Feeds only the
+  /// candidate-stage funnel counters.
+  [[nodiscard]] MatchDiagnosis evaluate(std::size_t job_index,
+                                        const MatchOptions& options,
+                                        util::SimTime not_before,
+                                        MatchedJob* matched) const;
+
+  /// Candidate construction: transfers sharing a bridging file row's
+  /// (lfn, jeditaskid), attribute-key-matched, time-filtered to
+  /// [not_before, job end), deduplicated, ascending.  `file_rows`
+  /// receives the count of bridging file rows.  Returns a per-thread
+  /// scratch buffer valid until this thread's next call.
   [[nodiscard]] const std::vector<std::size_t>& collect_candidates(
-      std::size_t job_index, const MatchOptions& options,
-      util::SimTime not_before, std::size_t* file_rows) const;
+      std::size_t job_index, util::SimTime not_before,
+      std::size_t& file_rows) const;
 
   /// The store's index: file rows by (pandaid, jeditaskid), transfers
-  /// by lfn symbol, composite attribute keys.  The underlying store
-  /// must outlive the matcher and stay unmodified.
+  /// by (lfn, jeditaskid), composite attribute keys.  The underlying
+  /// store must outlive the matcher and stay unmodified.
   std::shared_ptr<const MatchIndex> index_;
 };
 

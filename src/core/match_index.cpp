@@ -28,17 +28,30 @@ class FlatU64Interner {
   }
 
   std::uint32_t intern(std::uint64_t key) noexcept {
-    std::size_t i = util::hash_mix(key) & mask_;
-    while (ids_[i] != kNone) {
-      if (keys_[i] == key) return ids_[i];
-      i = (i + 1) & mask_;
+    const std::size_t i = slot(key);
+    if (ids_[i] == kNone) {
+      keys_[i] = key;
+      ids_[i] = next_++;
     }
-    keys_[i] = key;
-    ids_[i] = next_;
-    return next_++;
+    return ids_[i];
   }
 
+  /// The key's id, or kNone if it was never interned.
+  [[nodiscard]] std::uint32_t find(std::uint64_t key) const noexcept {
+    return ids_[slot(key)];
+  }
+
+  /// Number of distinct keys interned (ids are 0 .. size() - 1).
+  [[nodiscard]] std::uint32_t size() const noexcept { return next_; }
+
  private:
+  /// The key's slot if present, else the empty slot it would take.
+  [[nodiscard]] std::size_t slot(std::uint64_t key) const noexcept {
+    std::size_t i = util::hash_mix(key) & mask_;
+    while (ids_[i] != kNone && keys_[i] != key) i = (i + 1) & mask_;
+    return i;
+  }
+
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint32_t> ids_;
   std::size_t mask_ = 0;
@@ -117,15 +130,46 @@ MatchIndex::MatchIndex(const telemetry::MetadataStore& store)
   };
   build_csr(files.size(), n_jobs, emit_file, file_offsets_, file_slots_);
 
-  // Counting sort over dense lfn symbols.  The offsets table spans the
-  // whole shared symbol table; non-lfn symbols simply own empty groups.
-  const std::size_t n_syms = store.symbols().size();
-  const auto emit_transfer = [&](std::size_t i, auto&& sink) {
-    const util::Symbol s = transfers[i].lfn_sym;
-    if (s < n_syms) sink(s);
+  // Transfers grouped by the join key (lfn, jeditaskid), one dense id
+  // per pair that occurs.  A bridged file row carries its job's task,
+  // so only the jobs' tasks get dense ids: a transfer of any other task
+  // (or of none) can never be a candidate and joins no group.
+  FlatU64Interner tasks(n_jobs);
+  for (const auto& job : jobs) {
+    tasks.intern(static_cast<std::uint64_t>(job.jeditaskid));
+  }
+  const auto task_of = [&tasks](std::int64_t jeditaskid) {
+    return tasks.find(static_cast<std::uint64_t>(jeditaskid));
   };
-  build_csr(transfers.size(), n_syms, emit_transfer,
+  // First pass: each transfer's dense task; counts size the pair table.
+  const std::size_t n_syms = store.symbols().size();
+  std::vector<std::uint32_t> transfer_group(transfers.size(), kNone);
+  std::size_t n_keyed = 0;
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    if (transfers[i].lfn_sym >= n_syms) continue;
+    transfer_group[i] = task_of(transfers[i].jeditaskid);
+    n_keyed += transfer_group[i] != kNone;
+  }
+  // Second pass: dense task -> dense (lfn, task) group, in place.
+  FlatU64Interner pairs(n_keyed);
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    if (transfer_group[i] == kNone) continue;
+    transfer_group[i] = pairs.intern(
+        util::pack_symbols(transfers[i].lfn_sym, transfer_group[i]));
+  }
+  const auto emit_transfer = [&](std::size_t i, auto&& sink) {
+    if (transfer_group[i] != kNone) sink(transfer_group[i]);
+  };
+  build_csr(transfers.size(), pairs.size(), emit_transfer,
             transfer_offsets_, transfer_slots_);
+
+  // Each file row looks up the one group its own (lfn, jeditaskid)
+  // names: kNone (an empty group) when no transfer carries the pair.
+  file_groups_.resize(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    file_groups_[i] = pairs.find(
+        util::pack_symbols(files[i].lfn_sym, task_of(files[i].jeditaskid)));
+  }
 
   // Composite attribute keys: interned (dataset, proddblock, scope)
   // triple in the high half, an interned file-size id in the low half.

@@ -7,8 +7,11 @@
 //  * file rows are grouped by OWNING JOB — keyed on the full (pandaid,
 //    jeditaskid) bridge, so stale rows (same pandaid, different task
 //    generation) are excluded at build time instead of per query;
-//  * transfers are grouped by interned lfn symbol, which turns the old
-//    string-keyed hash map into a counting sort over dense ids;
+//  * transfers are grouped by Algorithm 1's join key (lfn, jeditaskid):
+//    each pair that occurs with a task some job carries is interned to
+//    a dense group id, so task equality is structural, like lfn
+//    equality, and a file row's group holds exactly the transfers that
+//    agree on both (transfers of other tasks can never be candidates);
 //  * every record gets one 64-bit composite attribute key — the interned
 //    (dataset, proddblock, scope) triple in the high half and an
 //    interned file-size id in the low half — so the attribute-join
@@ -44,11 +47,12 @@ class MatchIndex {
     return group(file_offsets_, file_slots_, job_index);
   }
 
-  /// Transfers whose lfn has the given symbol id.  Ascending row order.
-  [[nodiscard]] std::span<const std::uint32_t> transfers_with_lfn(
-      util::Symbol lfn_sym) const noexcept {
-    if (lfn_sym + 1 >= transfer_offsets_.size()) return {};
-    return group(transfer_offsets_, transfer_slots_, lfn_sym);
+  /// Transfers whose (lfn, jeditaskid) equals the file row's.  A row
+  /// bridged to a job carries that job's task, so these are the job's
+  /// candidates for this file.  Ascending row order.
+  [[nodiscard]] std::span<const std::uint32_t> transfers_for_file(
+      std::size_t file_index) const noexcept {
+    return group(transfer_offsets_, transfer_slots_, file_groups_[file_index]);
   }
 
   /// Composite attribute keys; `file_key(i) == transfer_key(j)` iff the
@@ -79,9 +83,12 @@ class MatchIndex {
   /// are the file-row indices bridging to job j.
   std::vector<std::uint32_t> file_offsets_;
   std::vector<std::uint32_t> file_slots_;
-  /// CSR over lfn symbols, same layout, into store.transfers().
+  /// CSR over (lfn, jeditaskid) groups, same layout, into
+  /// store.transfers(); file_groups_[i] is file row i's group, or
+  /// 0xFFFF'FFFF (empty) when no job's transfer shares its key.
   std::vector<std::uint32_t> transfer_offsets_;
   std::vector<std::uint32_t> transfer_slots_;
+  std::vector<std::uint32_t> file_groups_;
   std::vector<std::uint64_t> file_keys_;
   std::vector<std::uint64_t> transfer_keys_;
 };

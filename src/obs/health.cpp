@@ -140,10 +140,6 @@ void HealthEngine::reset_locked() {
   queue_depth_ = Ewma{};
   links_.clear();
   stalls_.reset();
-  match_flat_ticks_ = 0;
-  have_prev_sample_ = false;
-  prev_candidates_ = 0;
-  prev_matched_ = 0;
   prev_dropped_ = 0;
   for (Slo& slo : slos_) {
     slo.good = slo.bad = 0;
@@ -269,18 +265,12 @@ void HealthEngine::on_sample(std::int64_t ts,
   note_ts_locked(ts);
 
   std::int64_t jobs_queued = -1;
-  std::int64_t candidates = -1;
-  std::int64_t matched = -1;
   std::int64_t dropped = -1;
   const std::size_t n = std::min(names.size(), values.size());
   for (std::size_t i = 0; i < n; ++i) {
     const std::string& name = names[i];
     if (name == "jobs_queued") {
       jobs_queued = values[i];
-    } else if (name == "pandarus_match_candidates_scanned_total") {
-      candidates = values[i];
-    } else if (name == "pandarus_match_jobs_matched_total") {
-      matched = values[i];
     } else if (name == "events_dropped") {
       dropped = values[i];
     }
@@ -300,28 +290,10 @@ void HealthEngine::on_sample(std::int64_t ts,
     queue_depth_.observe(v, config_.ewma_alpha);
   }
 
-  // Match-rate drop: the funnel's candidate counter advances while the
-  // matched counter stays flat for too many consecutive samples.
-  if (candidates >= 0 && matched >= 0) {
-    if (have_prev_sample_) {
-      const bool flat =
-          candidates > prev_candidates_ && matched == prev_matched_;
-      match_flat_ticks_ = flat ? match_flat_ticks_ + 1 : 0;
-    }
-    const bool breach = match_flat_ticks_ >= config_.match_drop_ticks;
-    step_locked("match_rate_drop", "matcher", "critical", ts, breach,
-                static_cast<double>(match_flat_ticks_),
-                static_cast<double>(config_.match_drop_ticks),
-                /*instant=*/true);
-    prev_candidates_ = candidates;
-    prev_matched_ = matched;
-  }
-
   // Event-drop watchdog + integrity SLO: any dropped-event delta is an
   // immediate critical (telemetry is silently incomplete from then on).
   if (dropped >= 0) {
-    const std::int64_t delta =
-        have_prev_sample_ ? dropped - prev_dropped_ : dropped;
+    const std::int64_t delta = dropped - prev_dropped_;
     const bool breach = delta > 0;
     step_locked("event_drop", "events", "critical", ts, breach,
                 static_cast<double>(delta), 0.0, /*instant=*/true);
@@ -329,7 +301,6 @@ void HealthEngine::on_sample(std::int64_t ts,
     prev_dropped_ = dropped;
   }
 
-  have_prev_sample_ = true;
   evaluate_slos_locked(ts);
   export_gauges_locked();
 }

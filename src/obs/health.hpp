@@ -93,8 +93,6 @@ struct HealthConfig {
   // Breaker flap escalation: open/close transitions per link.
   std::int64_t flap_window_ms = 6 * 3600 * 1000;
   std::uint64_t flap_threshold = 4;
-  // Match-rate drop: candidates advancing while matches stay flat.
-  int match_drop_ticks = 4;
   // SLO burn-rate evaluation.
   std::int64_t slo_bucket_ms = 5 * 60 * 1000;
   std::int64_t slo_fast_window_ms = 1 * 3600 * 1000;
@@ -263,11 +261,7 @@ class HealthEngine {
   Ewma queue_depth_;
   std::map<std::pair<std::int64_t, std::int64_t>, LinkState> links_;
   BucketRing stalls_;
-  int match_flat_ticks_ = 0;
-  bool have_prev_sample_ = false;
-  std::int64_t prev_candidates_ = 0;
-  std::int64_t prev_matched_ = 0;
-  std::int64_t prev_dropped_ = 0;
+  std::int64_t prev_dropped_ = 0;  ///< events_dropped at the last sample
 
   // SLOs (fixed order: latency, success, integrity).
   std::vector<Slo> slos_;

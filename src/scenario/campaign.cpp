@@ -329,13 +329,6 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
     sampler->add_gauge(obs::Registry::global().gauge(
         "pandarus_dms_breakers_open",
         "Links with an open (or probing) circuit breaker"));
-    // Matcher funnel totals: flat during the campaign itself, live when
-    // a matcher shares the process (method-comparison sweeps).
-    sampler->add_counter(obs::Registry::global().counter(
-        "pandarus_match_candidates_scanned_total",
-        "Transfer candidates scanned by the matcher"));
-    sampler->add_counter(obs::Registry::global().counter(
-        "pandarus_match_jobs_matched_total", "Jobs matched to a transfer"));
     // The health engine consumes the same row the "sample" event
     // carries, at the same stream position, so its detectors see
     // identical sequences live and in replay.

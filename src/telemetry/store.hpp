@@ -4,7 +4,7 @@
 // paper relies on: the query module "only reports jobs that are completed
 // before the end of the interval, excluding all jobs still running"
 // (§4.2).  Indexes used by the matcher (file records by (pandaid,
-// jeditaskid), transfers by lfn) are built on demand by the core module;
+// jeditaskid), transfers by (lfn, jeditaskid)) are built by the core;
 // the store itself stays a dumb, faithful record base — plus one piece
 // of derived state: a shared symbol table.  record_file/record_transfer
 // intern the string attributes (lfn, dataset, proddblock, scope) to

@@ -212,10 +212,6 @@ TEST(Match, TaskIdMismatchExcludesCandidate) {
   store.transfers_mutable()[0].jeditaskid = 999;
   Matcher matcher(store);
   EXPECT_FALSE(matcher.match_job(0, MatchOptions::exact()).matched());
-  // With the taskid requirement relaxed the candidate returns.
-  MatchOptions loose = MatchOptions::exact();
-  loose.require_taskid_match = false;
-  EXPECT_TRUE(matcher.match_job(0, loose).matched());
 }
 
 TEST(Match, DroppedTaskIdExcludesCandidate) {

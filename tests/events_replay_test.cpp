@@ -199,6 +199,32 @@ TEST(EventsDeterminism, TracedAndUntracedRunsEmitIdenticalNdjson) {
   EXPECT_EQ(plain_ndjson, traced_ndjson);
 }
 
+// The stream depends on the campaign alone: matching done in the same
+// process between two identical campaigns (no registry reset) must not
+// show up in the second campaign's stream.
+TEST(EventsDeterminism, MatchingBetweenCampaignsLeavesStreamUnchanged) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.seed = 7;
+
+  const auto run_then_match = [&config] {
+    obs::EventLog log;
+    log.install();
+    const scenario::ScenarioResult result = scenario::run_campaign(config);
+    log.uninstall();
+    const core::Matcher matcher(result.store);
+    EXPECT_GT(core::run_all_methods(matcher).rm2.matched_job_count(), 0u);
+    return split_lines(log.to_ndjson());
+  };
+
+  const std::vector<std::string> first = run_then_match();
+  const std::vector<std::string> second = run_then_match();
+  ASSERT_FALSE(first.empty());
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i], second[i]) << "first difference at line " << i;
+  }
+}
+
 // --- replay cross-check -----------------------------------------------------
 
 TEST(EventsReplay, ReplayedStoreReproducesInMemoryAnalyses) {

@@ -291,28 +291,6 @@ TEST(HealthSlo, BurnRateAlertFiresOnSustainedFailureStreak) {
 
 // --- sampler-column watchdogs -----------------------------------------------
 
-TEST(HealthDetectors, MatchRateDropAfterFlatTicks) {
-  obs::HealthEngine engine;
-  const std::vector<std::string> names = {
-      "pandarus_match_candidates_scanned_total",
-      "pandarus_match_jobs_matched_total"};
-  std::int64_t candidates = 100;
-  engine.on_sample(1000, names, {candidates, 50});
-  // Candidates keep advancing while matched stays flat.
-  for (int i = 1; i <= 4; ++i) {
-    candidates += 100;
-    engine.on_sample(1000 + 1000 * i, names, {candidates, 50});
-  }
-  const auto drops = transitions_for(engine, "match_rate_drop");
-  ASSERT_FALSE(drops.empty());
-  EXPECT_EQ(drops.back().phase, obs::AlertPhase::kFiring);
-
-  // Matching resumes → instant resolve.
-  engine.on_sample(9000, names, {candidates + 100, 51});
-  EXPECT_EQ(transitions_for(engine, "match_rate_drop").back().phase,
-            obs::AlertPhase::kResolved);
-}
-
 TEST(HealthDetectors, EventDropDeltaIsInstantCritical) {
   obs::HealthEngine engine;
   const std::vector<std::string> names = {"events_dropped"};

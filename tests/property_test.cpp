@@ -2,10 +2,13 @@
 // hold across seeds, corruption intensities and topology shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/summary.hpp"
 #include "core/match_index.hpp"
 #include "core/metrics.hpp"
 #include "core/relaxed.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/campaign.hpp"
 #include "util/interner.hpp"
 #include "util/rng.hpp"
@@ -259,20 +262,31 @@ TEST_P(InternerSweep, StoreSymbolsConsistentAcrossIngestOrder) {
 }
 
 TEST_P(InternerSweep, CompositeKeyEquivalentToStringComparison) {
-  // The refactor replaced the five-way string/size predicate with one
-  // integer compare.  Over randomized records (small pools force heavy
-  // overlap in every field), the two must agree on every (file,
-  // transfer) pair: old attributes_match(f, t) == (lfn symbols equal &&
-  // composite keys equal).
+  // The index replaced the five-way string/size predicate plus the
+  // per-candidate task check with a (lfn, jeditaskid) group lookup and
+  // one integer compare.  Over randomized records (small pools force
+  // heavy overlap in every field, task ids included), the two must
+  // agree on every (file, transfer) pair: a transfer is in the file
+  // row's group with an equal composite key iff the strings, the size
+  // and the task all agree.  Only tasks some job carries are keyed (a
+  // bridged row carries its job's task), so task 4 has no job and its
+  // rows' groups must stay empty.
   util::Rng rng(GetParam());
   telemetry::MetadataStore store;
   const auto pick = [&](const char* prefix, int n) {
     return std::string(prefix) + std::to_string(rng.uniform_int(0, n));
   };
+  const auto has_job = [](std::int64_t task) { return task >= 1 && task <= 3; };
+  for (std::int64_t task = 1; task <= 3; ++task) {
+    telemetry::JobRecord j;
+    j.pandaid = 1000 + task;
+    j.jeditaskid = task;
+    store.record_job(j);
+  }
   for (int i = 0; i < 120; ++i) {
     telemetry::FileRecord f;
     f.pandaid = i;
-    f.jeditaskid = 1;
+    f.jeditaskid = rng.uniform_int(1, 4);
     f.lfn = pick("lfn.", 8);
     f.dataset = pick("ds.", 3);
     f.proddblock = pick("blk.", 3);
@@ -283,7 +297,7 @@ TEST_P(InternerSweep, CompositeKeyEquivalentToStringComparison) {
   for (int i = 0; i < 120; ++i) {
     telemetry::TransferRecord t;
     t.transfer_id = static_cast<std::uint64_t>(i);
-    t.jeditaskid = 1;
+    t.jeditaskid = rng.uniform_int(-1, 4);  // -1: dropped provenance
     t.lfn = pick("lfn.", 8);
     t.dataset = pick("ds.", 3);
     t.proddblock = pick("blk.", 3);
@@ -296,15 +310,24 @@ TEST_P(InternerSweep, CompositeKeyEquivalentToStringComparison) {
   const auto files = store.files();
   const auto transfers = store.transfers();
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
+    const auto group = index.transfers_for_file(fi);
+    EXPECT_TRUE(std::is_sorted(group.begin(), group.end()));
     for (std::size_t ti = 0; ti < transfers.size(); ++ti) {
       const auto& f = files[fi];
       const auto& t = transfers[ti];
       const bool by_strings = f.lfn == t.lfn && f.dataset == t.dataset &&
                               f.proddblock == t.proddblock &&
                               f.scope == t.scope &&
-                              f.file_size == t.file_size;
-      const bool by_keys = f.lfn_sym == t.lfn_sym &&
-                           index.file_key(fi) == index.transfer_key(ti);
+                              f.file_size == t.file_size &&
+                              f.jeditaskid == t.jeditaskid &&
+                              has_job(f.jeditaskid);
+      const bool in_group =
+          std::find(group.begin(), group.end(), ti) != group.end();
+      EXPECT_EQ(in_group, f.lfn == t.lfn && f.jeditaskid == t.jeditaskid &&
+                              has_job(f.jeditaskid))
+          << "file " << fi << " transfer " << ti;
+      const bool by_keys =
+          in_group && index.file_key(fi) == index.transfer_key(ti);
       EXPECT_EQ(by_strings, by_keys) << "file " << fi << " transfer " << ti;
     }
   }
@@ -312,6 +335,39 @@ TEST_P(InternerSweep, CompositeKeyEquivalentToStringComparison) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InternerSweep,
                          ::testing::Values(3u, 17u, 2026u, 80526u));
+
+// --- match funnel -----------------------------------------------------
+
+TEST(MatchFunnel, ScannedCandidatesPartitionIntoRejectsAndAccepts) {
+  // Every scanned candidate leaves the candidate stage exactly once:
+  // rejected on the attribute key, rejected on time, or accepted.  The
+  // task id is part of the join key, so no candidate is scanned only to
+  // be rejected on it.
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.25;
+  config.seed = 7;
+  const auto result = scenario::run_campaign(config);
+  const core::Matcher matcher(result.store);
+
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  const core::TriMatchResult tri = core::run_all_methods(matcher);
+  const obs::Snapshot after = obs::Registry::global().snapshot();
+  const auto delta = [&](std::string_view name) {
+    return after.counter_value(name) - before.counter_value(name);
+  };
+
+  EXPECT_GT(tri.rm2.matched_job_count(), 0u);
+  const std::uint64_t scanned =
+      delta("pandarus_match_candidates_scanned_total");
+  EXPECT_GT(scanned, 0u);
+  EXPECT_EQ(scanned, delta("pandarus_match_reject_attr_key_total") +
+                         delta("pandarus_match_reject_time_total") +
+                         delta("pandarus_match_candidates_accepted_total"));
+  EXPECT_TRUE(std::none_of(
+      after.counters.begin(), after.counters.end(), [](const auto& c) {
+        return c.name == "pandarus_match_reject_taskid_total";
+      }));
+}
 
 // --- corruption monotonicity ------------------------------------------
 
