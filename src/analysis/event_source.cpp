@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <functional>
 #include <istream>
-#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "obs/colstore.hpp"
@@ -12,14 +12,12 @@
 namespace pandarus::analysis {
 namespace {
 
-using util::json::Value;
-
 /// Bytes pulled from the underlying stream per refill.
 constexpr std::size_t kReadChunk = std::size_t{1} << 16;
 
-/// Assembles NDJSON lines from fixed-size reads and parses them one at
-/// a time; memory is bounded by kMaxNdjsonLine + kReadChunk no matter
-/// how large the input is.
+/// Assembles NDJSON lines from fixed-size reads and scans them one at a
+/// time straight out of the read buffer; memory is bounded by
+/// kMaxNdjsonLine + kReadChunk no matter how large the input is.
 class NdjsonSource final : public EventSource {
  public:
   using ReadFn = std::function<std::size_t(char*, std::size_t)>;
@@ -30,16 +28,15 @@ class NdjsonSource final : public EventSource {
     if (owned_ != nullptr) std::fclose(owned_);
   }
 
-  const util::json::Value* next() override {
-    std::string line;
+  const obs::DecodedEvent* next() override {
+    std::string_view line;
     while (next_line(line)) {
       if (line.empty()) continue;
-      value_ = util::json::parse(line);
-      if (!value_ || value_->kind != Value::Kind::kObject) {
+      if (!obs::scan_ndjson_line(line, event_)) {
         ++skipped_;
         continue;
       }
-      return &*value_;
+      return &event_;
     }
     return nullptr;
   }
@@ -50,7 +47,9 @@ class NdjsonSource final : public EventSource {
   [[nodiscard]] std::string error() const override { return {}; }
 
  private:
-  bool next_line(std::string& line) {
+  /// Next line as a view into buffer_, valid until the following call
+  /// (which is the only place buffer_ is compacted or refilled).
+  bool next_line(std::string_view& line) {
     for (;;) {
       const auto nl = buffer_.find('\n', pos_);
       if (nl != std::string::npos) {
@@ -60,12 +59,8 @@ class NdjsonSource final : public EventSource {
           pos_ = nl + 1;
           continue;
         }
-        line.assign(buffer_, pos_, nl - pos_);
+        line = std::string_view(buffer_).substr(pos_, nl - pos_);
         pos_ = nl + 1;
-        if (pos_ >= kReadChunk) {
-          buffer_.erase(0, pos_);
-          pos_ = 0;
-        }
         return true;
       }
       if (!discarding_ && buffer_.size() - pos_ > kMaxNdjsonLine) {
@@ -80,19 +75,17 @@ class NdjsonSource final : public EventSource {
       pos_ = 0;
       if (eof_) {
         if (!discarding_ && !buffer_.empty()) {
-          line = std::move(buffer_);  // final line without newline
-          buffer_.clear();
+          line = buffer_;  // final line without newline
+          pos_ = buffer_.size();
           return true;
         }
         return false;
       }
-      char chunk[kReadChunk];
-      const std::size_t got = read_(chunk, sizeof chunk);
-      if (got == 0) {
-        eof_ = true;
-        continue;
-      }
-      buffer_.append(chunk, got);
+      const std::size_t kept = buffer_.size();
+      buffer_.resize(kept + kReadChunk);
+      const std::size_t got = read_(buffer_.data() + kept, kReadChunk);
+      buffer_.resize(kept + got);
+      if (got == 0) eof_ = true;
     }
   }
 
@@ -103,63 +96,25 @@ class NdjsonSource final : public EventSource {
   bool eof_ = false;
   bool discarding_ = false;
   std::size_t skipped_ = 0;
-  std::optional<Value> value_;
+  obs::DecodedEvent event_;
 };
 
-/// Builds Values from decoded colstore rows with exactly the semantics
-/// util::json::parse would have produced from the NDJSON rendering —
-/// same member order, same int/double duality — so replay results are
-/// indistinguishable across formats.
+/// Hands out colstore rows as decoded: ColReader::next already emits
+/// the members (ts, kind, entity, then fields) that scanning the row's
+/// NDJSON rendering would, so replay results are indistinguishable
+/// across formats.
 class ColstoreSource final : public EventSource {
  public:
   ColstoreSource(const std::string& path, bool recover)
       : reader_(path, obs::ColFilter{}, obs::ColReadOptions{recover}) {}
 
-  const util::json::Value* next() override {
-    obs::DecodedEvent e;
-    if (!reader_.next(e)) {
-      if (!reader_.ok() && !warned_) {
-        warned_ = true;
-        util::log_warning() << "event source: " << reader_.error();
-      }
-      return nullptr;
+  const obs::DecodedEvent* next() override {
+    if (reader_.next(event_)) return &event_;
+    if (!reader_.ok() && !warned_) {
+      warned_ = true;
+      util::log_warning() << "event source: " << reader_.error();
     }
-    value_.emplace();
-    Value& v = *value_;
-    v.kind = Value::Kind::kObject;
-    v.obj.reserve(3 + e.fields.size());
-    v.obj.emplace_back("ts", int_value(e.ts));
-    v.obj.emplace_back("kind", string_value(e.kind));
-    if (e.entity_is_string) {
-      v.obj.emplace_back("entity", string_value(e.entity_string));
-    } else {
-      v.obj.emplace_back("entity", int_value(e.entity_int));
-    }
-    for (const obs::DecodedEvent::Field& f : e.fields) {
-      Value fv;
-      switch (f.type) {
-        case obs::DecodedEvent::FieldType::kInt:
-          fv = int_value(f.int_v);
-          break;
-        case obs::DecodedEvent::FieldType::kDouble:
-          fv.kind = Value::Kind::kNumber;
-          fv.num_v = f.double_v;
-          fv.int_v = static_cast<std::int64_t>(f.double_v);
-          fv.is_int = false;
-          break;
-        case obs::DecodedEvent::FieldType::kBool:
-          fv.kind = Value::Kind::kBool;
-          fv.bool_v = f.bool_v;
-          break;
-        case obs::DecodedEvent::FieldType::kString:
-          fv = string_value(f.string_v);
-          break;
-        case obs::DecodedEvent::FieldType::kNull:
-          break;  // default-constructed Value is null
-      }
-      v.obj.emplace_back(std::string(f.key), std::move(fv));
-    }
-    return &v;
+    return nullptr;
   }
 
   [[nodiscard]] std::size_t skipped() const noexcept override {
@@ -172,24 +127,9 @@ class ColstoreSource final : public EventSource {
   }
 
  private:
-  static Value int_value(std::int64_t v) {
-    Value out;
-    out.kind = Value::Kind::kNumber;
-    out.int_v = v;
-    out.num_v = static_cast<double>(v);
-    out.is_int = true;
-    return out;
-  }
-  static Value string_value(std::string_view s) {
-    Value out;
-    out.kind = Value::Kind::kString;
-    out.str_v = std::string(s);
-    return out;
-  }
-
   obs::ColReader reader_;
   bool warned_ = false;
-  std::optional<Value> value_;
+  obs::DecodedEvent event_;
 };
 
 }  // namespace

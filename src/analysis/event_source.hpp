@@ -2,12 +2,15 @@
 // text stream and the binary colstore, so replay / critical-path /
 // report tooling runs out-of-core against either format.
 //
-// A source yields parsed `util::json::Value` objects one event at a
-// time.  The NDJSON source assembles lines from fixed-size read chunks
-// (bounded buffer — no whole-file slurp); the colstore source decodes
-// one chunk of columns at a time.  Both construct Values with identical
-// semantics (int/double duality, member order), so every consumer sees
-// the same objects regardless of the container format.
+// A source yields one flat obs::DecodedEvent at a time, refilled in
+// place, so a scan builds no per-event object tree.  The NDJSON source
+// assembles lines from fixed-size read chunks (bounded buffer — no
+// whole-file slurp) and runs obs::scan_ndjson_line over each; the
+// colstore source hands out obs::ColReader rows, which decode one chunk
+// of columns at a time.  Both produce the same members in the same
+// order with the same types (an event's `ts`, `kind` and `entity`
+// first), so every consumer sees identical events regardless of the
+// container format.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +18,7 @@
 #include <memory>
 #include <string>
 
-#include "util/json.hpp"
+#include "obs/decoded_event.hpp"
 
 namespace pandarus::analysis {
 
@@ -24,14 +27,15 @@ namespace pandarus::analysis {
 /// unbounded buffering).  The Event builder never comes close.
 inline constexpr std::size_t kMaxNdjsonLine = std::size_t{1} << 20;
 
-/// Pull cursor over an event stream.  The pointer returned by next()
-/// stays valid until the following next() call.
+/// Pull cursor over an event stream.  The event returned by next() —
+/// its members and every view they hold — stays valid until the
+/// following next() call.
 class EventSource {
  public:
   virtual ~EventSource() = default;
   /// Next well-formed event object, or nullptr at end of stream.
   /// Malformed input is counted in skipped(), never fatal.
-  virtual const util::json::Value* next() = 0;
+  virtual const obs::DecodedEvent* next() = 0;
   /// Lines/events dropped so far (unparsable, overlong, non-object).
   [[nodiscard]] virtual std::size_t skipped() const noexcept = 0;
   /// Non-empty when the underlying stream stopped on damage (e.g. a

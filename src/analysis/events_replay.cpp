@@ -4,18 +4,17 @@
 #include <string>
 
 #include "analysis/event_source.hpp"
-#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace pandarus::analysis {
 namespace {
 
-grid::SiteId site_of(const util::json::Value& v, std::string_view key) {
+grid::SiteId site_of(const obs::DecodedEvent& v, std::string_view key) {
   return static_cast<grid::SiteId>(
       v.get_int(key, static_cast<std::int64_t>(grid::kUnknownSite)));
 }
 
-void replay_job_record(const util::json::Value& v, std::int64_t entity,
+void replay_job_record(const obs::DecodedEvent& v, std::int64_t entity,
                        telemetry::MetadataStore& store) {
   telemetry::JobRecord j;
   j.pandaid = entity;
@@ -33,7 +32,7 @@ void replay_job_record(const util::json::Value& v, std::int64_t entity,
   store.record_job(std::move(j));
 }
 
-void replay_file_record(const util::json::Value& v, std::int64_t entity,
+void replay_file_record(const obs::DecodedEvent& v, std::int64_t entity,
                         telemetry::MetadataStore& store) {
   telemetry::FileRecord f;
   f.pandaid = entity;
@@ -47,7 +46,7 @@ void replay_file_record(const util::json::Value& v, std::int64_t entity,
   store.record_file(std::move(f));
 }
 
-void replay_transfer_record(const util::json::Value& v, std::int64_t entity,
+void replay_transfer_record(const obs::DecodedEvent& v, std::int64_t entity,
                             telemetry::MetadataStore& store) {
   telemetry::TransferRecord t;
   t.transfer_id = static_cast<std::uint64_t>(entity);
@@ -71,7 +70,7 @@ using FlowOp = ReplayResult::FlowEventRow::Op;
 
 /// Captures one flow/transfer lifecycle line as a FlowEventRow; returns
 /// false for kinds that are not part of the flow-rebuild vocabulary.
-bool capture_flow_event(std::string_view kind, const util::json::Value& v,
+bool capture_flow_event(std::string_view kind, const obs::DecodedEvent& v,
                         std::int64_t ts, std::int64_t entity,
                         std::vector<ReplayResult::FlowEventRow>& rows) {
   ReplayResult::FlowEventRow row;
@@ -138,10 +137,10 @@ std::string ReplayResult::site_name(grid::SiteId id) const {
 
 ReplayResult replay_events(EventSource& source) {
   ReplayResult result;
-  while (const util::json::Value* event = source.next()) {
-    const util::json::Value& v = *event;
+  while (const obs::DecodedEvent* event = source.next()) {
+    const obs::DecodedEvent& v = *event;
     const std::string_view kind = v.get_string("kind");
-    const util::json::Value* ts_field = v.find("ts");
+    const obs::DecodedEvent::Field* ts_field = v.find("ts");
     if (kind.empty() || ts_field == nullptr) {
       ++result.lines_skipped;
       continue;
@@ -193,9 +192,9 @@ ReplayResult replay_events(EventSource& source) {
       // Column order comes from the first sample; later samples are
       // matched by name so a mixed stream still lines up.
       if (result.sample_columns.empty()) {
-        for (const auto& [key, value] : v.obj) {
-          if (key == "ts" || key == "kind" || key == "entity") continue;
-          result.sample_columns.push_back(key);
+        for (const obs::DecodedEvent::Field& f : v.fields) {
+          if (f.key == "ts" || f.key == "kind" || f.key == "entity") continue;
+          result.sample_columns.emplace_back(f.key);
         }
       }
       ReplayResult::Sample row;

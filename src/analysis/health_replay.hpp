@@ -1,7 +1,8 @@
 // Replay face of the health engine: streams a recorded campaign (NDJSON
-// or colstore, via analysis::EventSource) through
-// obs::HealthEngine::observe_json, producing the exact detector / SLO /
-// alert state the live run held when it emitted those events.  This is
+// or colstore, via analysis::EventSource) one flat event at a time
+// through obs::HealthEngine::observe_json, producing the exact
+// detector / SLO / alert state the live run held when it emitted those
+// events.  This is
 // the detectors' out-of-core path — the file is never loaded whole —
 // and the source of truth for the live-vs-replay /api/alerts parity
 // gate.

@@ -113,7 +113,12 @@ MetricQueryResult run_metric_query(EventSource& source,
   using Key = std::pair<std::int64_t, std::vector<std::string>>;
   std::map<Key, Accumulator> cells;
 
-  while (const util::json::Value* event = source.next()) {
+  // One probe key reused across events: group cells are assigned in
+  // place and the key is copied only when it opens a new cell.
+  using FieldType = obs::DecodedEvent::FieldType;
+  Key probe;
+  probe.second.resize(spec.group_by.size());
+  while (const obs::DecodedEvent* event = source.next()) {
     ++result.events_scanned;
     const std::int64_t ts = event->get_int("ts");
     if (ts < spec.ts_from || ts > spec.ts_to) continue;
@@ -125,50 +130,47 @@ MetricQueryResult run_metric_query(EventSource& source,
     }
     ++result.events_matched;
 
-    Key key;
-    key.first = spec.bucket_ms > 0 ? (ts / spec.bucket_ms) * spec.bucket_ms
-                                   : 0;
-    key.second.reserve(spec.group_by.size());
-    for (const std::string& field : spec.group_by) {
+    probe.first = spec.bucket_ms > 0
+                      ? (ts / spec.bucket_ms) * spec.bucket_ms
+                      : 0;
+    for (std::size_t i = 0; i < spec.group_by.size(); ++i) {
+      const std::string& field = spec.group_by[i];
+      std::string& cell = probe.second[i];
+      cell.clear();
       if (field == "kind") {
-        key.second.emplace_back(kind);
+        cell.assign(kind);
         continue;
       }
-      const util::json::Value* member = event->find(field);
-      if (member == nullptr) {
-        key.second.emplace_back();
-      } else if (member->kind == util::json::Value::Kind::kString) {
-        key.second.emplace_back(member->str_v);
-      } else if (member->kind == util::json::Value::Kind::kNumber &&
-                 member->is_int) {
-        key.second.emplace_back(std::to_string(member->int_v));
-      } else if (member->kind == util::json::Value::Kind::kNumber) {
-        std::string text;
-        obs::detail::append_json_double(text, member->num_v);
-        key.second.emplace_back(std::move(text));
-      } else if (member->kind == util::json::Value::Kind::kBool) {
-        key.second.emplace_back(member->bool_v ? "true" : "false");
-      } else {
-        key.second.emplace_back();
+      const obs::DecodedEvent::Field* member = event->find(field);
+      if (member == nullptr) continue;
+      switch (member->type) {
+        case FieldType::kString: cell.assign(member->string_v); break;
+        case FieldType::kInt: cell = std::to_string(member->int_v); break;
+        case FieldType::kDouble:
+          obs::detail::append_json_double(cell, member->double_v);
+          break;
+        case FieldType::kBool: cell = member->bool_v ? "true" : "false"; break;
+        case FieldType::kNull:
+        case FieldType::kNested: break;
       }
     }
 
-    auto it = cells.find(key);
+    auto it = cells.find(probe);
     if (it == cells.end()) {
       Accumulator acc;
       for (const double q : wanted_quantiles) {
         acc.quantiles.emplace_back(q, obs::P2Quantile(q));
       }
-      it = cells.emplace(std::move(key), std::move(acc)).first;
+      it = cells.emplace(probe, std::move(acc)).first;
     }
     Accumulator& acc = it->second;
     ++acc.events;
     if (!spec.value_field.empty()) {
-      if (const util::json::Value* member = event->find(spec.value_field);
-          member != nullptr &&
-          member->kind == util::json::Value::Kind::kNumber) {
-        acc.observe(member->is_int ? static_cast<double>(member->int_v)
-                                   : member->num_v);
+      if (const obs::DecodedEvent::Field* member =
+              event->find(spec.value_field);
+          member != nullptr && (member->type == FieldType::kInt ||
+                                member->type == FieldType::kDouble)) {
+        acc.observe(member->as_double());
       }
     }
   }

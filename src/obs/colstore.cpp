@@ -247,17 +247,6 @@ std::uint32_t decode_u32_le(const unsigned char* p) noexcept {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-FieldType value_field_type(const util::json::Value& v) noexcept {
-  using Kind = util::json::Value::Kind;
-  switch (v.kind) {
-    case Kind::kNumber: return v.is_int ? FieldType::kInt : FieldType::kDouble;
-    case Kind::kBool: return FieldType::kBool;
-    case Kind::kString: return FieldType::kString;
-    case Kind::kNull: return FieldType::kNull;
-    default: return FieldType::kNull;  // callers reject arrays/objects first
-  }
-}
-
 bool is_core_key(std::string_view key) noexcept {
   return key == "ts" || key == "kind" || key == "entity";
 }
@@ -267,40 +256,6 @@ constexpr std::uint64_t col_key(util::Symbol key, std::uint8_t type) noexcept {
 }
 
 }  // namespace
-
-// --- rendering --------------------------------------------------------------
-
-void append_ndjson(const DecodedEvent& event, std::string& out) {
-  out += "{\"ts\":";
-  out += std::to_string(event.ts);
-  out += ",\"kind\":\"";
-  detail::append_json_escaped(out, event.kind);
-  if (event.entity_is_string) {
-    out += "\",\"entity\":\"";
-    detail::append_json_escaped(out, event.entity_string);
-    out += '"';
-  } else {
-    out += "\",\"entity\":";
-    out += std::to_string(event.entity_int);
-  }
-  for (const DecodedEvent::Field& f : event.fields) {
-    out += ",\"";
-    detail::append_json_escaped(out, f.key);
-    out += "\":";
-    switch (f.type) {
-      case FieldType::kInt: out += std::to_string(f.int_v); break;
-      case FieldType::kDouble: detail::append_json_double(out, f.double_v); break;
-      case FieldType::kBool: out += f.bool_v ? "true" : "false"; break;
-      case FieldType::kString:
-        out += '"';
-        detail::append_json_escaped(out, f.string_v);
-        out += '"';
-        break;
-      case FieldType::kNull: out += "null"; break;
-    }
-  }
-  out += '}';
-}
 
 // --- ColWriter --------------------------------------------------------------
 
@@ -329,50 +284,43 @@ void ColWriter::fail(const std::string& message) {
   if (error_.empty()) error_ = message;
 }
 
-bool ColWriter::append(const util::json::Value& event) {
-  using Kind = util::json::Value::Kind;
+bool ColWriter::append(const DecodedEvent& event) {
   if (!ok() || closed_) return false;
 
   // Validation pass: the event must fit the flat schema before any
   // column state is touched, so a rejected event leaves no residue.
-  if (event.kind != Kind::kObject) {
-    ++stats_.rejected;
-    return false;
-  }
-  const util::json::Value* ts = event.find("ts");
-  const util::json::Value* kind = event.find("kind");
-  const util::json::Value* entity = event.find("entity");
+  const DecodedEvent::Field* ts = event.find("ts");
+  const DecodedEvent::Field* kind = event.find("kind");
+  const DecodedEvent::Field* entity = event.find("entity");
   const bool entity_ok =
       entity != nullptr &&
-      ((entity->kind == Kind::kNumber && entity->is_int) ||
-       entity->kind == Kind::kString);
-  if (ts == nullptr || ts->kind != Kind::kNumber || !ts->is_int ||
-      kind == nullptr || kind->kind != Kind::kString || !entity_ok) {
+      (entity->type == FieldType::kInt || entity->type == FieldType::kString);
+  if (ts == nullptr || ts->type != FieldType::kInt || kind == nullptr ||
+      kind->type != FieldType::kString || !entity_ok) {
     ++stats_.rejected;
     return false;
   }
-  for (const auto& [key, value] : event.obj) {
-    if (is_core_key(key)) continue;
-    if (value.kind == Kind::kArray || value.kind == Kind::kObject) {
+  for (const DecodedEvent::Field& f : event.fields) {
+    if (!is_core_key(f.key) && f.type == FieldType::kNested) {
       ++stats_.rejected;
       return false;
     }
   }
 
   // Shape: kind + entity kind + ordered (key, type) list.
-  const util::Symbol kind_sym = dict_.intern(kind->str_v);
+  const util::Symbol kind_sym = dict_.intern(kind->string_v);
   const std::uint8_t entity_kind =
-      entity->kind == Kind::kString ? kEntityString : kEntityInt;
+      entity->type == FieldType::kString ? kEntityString : kEntityInt;
   ShapeDef def;
   def.kind = kind_sym;
   def.entity_kind = entity_kind;
   std::string sig;
   put_varint(sig, kind_sym);
   sig += static_cast<char>(entity_kind);
-  for (const auto& [key, value] : event.obj) {
-    if (is_core_key(key)) continue;
-    const util::Symbol key_sym = dict_.intern(key);
-    const auto type = static_cast<std::uint8_t>(value_field_type(value));
+  for (const DecodedEvent::Field& f : event.fields) {
+    if (is_core_key(f.key)) continue;
+    const util::Symbol key_sym = dict_.intern(f.key);
+    const auto type = static_cast<std::uint8_t>(f.type);
     def.fields.emplace_back(key_sym, type);
     put_varint(sig, key_sym);
     sig += static_cast<char>(type);
@@ -394,7 +342,7 @@ bool ColWriter::append(const util::json::Value& event) {
   row_shapes_.push_back(shape_id);
   row_ts_.push_back(ts_v);
   if (entity_kind == kEntityString) {
-    ent_strs_.push_back(dict_.intern(entity->str_v));
+    ent_strs_.push_back(dict_.intern(entity->string_v));
   } else {
     ent_ints_.push_back(entity->int_v);
   }
@@ -403,8 +351,8 @@ bool ColWriter::append(const util::json::Value& event) {
   // Field columns, keyed (key symbol, type); values packed in row order.
   const ShapeDef& shape = shapes_[shape_id];
   std::size_t field_index = 0;
-  for (const auto& [key, value] : event.obj) {
-    if (is_core_key(key)) continue;
+  for (const DecodedEvent::Field& f : event.fields) {
+    if (is_core_key(f.key)) continue;
     const auto [key_sym, type] = shape.fields[field_index++];
     const std::uint64_t ck = col_key(key_sym, type);
     const auto [col_it, col_inserted] =
@@ -416,21 +364,22 @@ bool ColWriter::append(const util::json::Value& event) {
       cols_.push_back(std::move(col));
     }
     ColBuild& col = cols_[col_it->second];
-    switch (static_cast<FieldType>(type)) {
+    switch (f.type) {
       case FieldType::kInt:
-        put_varint(col.bytes, delta_encode(value.int_v, col.prev_int));
-        col.prev_int = value.int_v;
+        put_varint(col.bytes, delta_encode(f.int_v, col.prev_int));
+        col.prev_int = f.int_v;
         break;
       case FieldType::kDouble:
-        put_u64_le(col.bytes, double_bits(value.num_v));
+        put_u64_le(col.bytes, double_bits(f.double_v));
         break;
       case FieldType::kBool:
-        col.bytes += static_cast<char>(value.bool_v ? 1 : 0);
+        col.bytes += static_cast<char>(f.bool_v ? 1 : 0);
         break;
       case FieldType::kString:
-        put_varint(col.bytes, dict_.intern(value.str_v));
+        put_varint(col.bytes, dict_.intern(f.string_v));
         break;
       case FieldType::kNull:
+      case FieldType::kNested:  // rejected above
         break;  // presence is carried by the shape
     }
     ++col.count;
@@ -443,12 +392,11 @@ bool ColWriter::append(const util::json::Value& event) {
 
 bool ColWriter::append_ndjson_line(std::string_view line) {
   if (line.empty()) return true;
-  const auto parsed = util::json::parse(line);
-  if (!parsed || parsed->kind != util::json::Value::Kind::kObject) {
+  if (!scan_ndjson_line(line, scanned_)) {
     ++stats_.rejected;
     return false;
   }
-  return append(*parsed);
+  return append(scanned_);
 }
 
 bool ColWriter::flush_chunk() {
@@ -788,6 +736,7 @@ bool ColReader::load_chunk(bool stats_only, ChunkInfo* info) {
         }
         shape.fields.emplace_back(static_cast<util::Symbol>(key_sym), type);
       }
+      max_shape_fields_ = std::max(max_shape_fields_, shape.fields.size());
       shapes_.push_back(std::move(shape));
     }
     if (pos != meta.size()) {
@@ -958,6 +907,7 @@ bool ColReader::load_chunk(bool stats_only, ChunkInfo* info) {
           }
           break;
         case FieldType::kNull:
+        case FieldType::kNested:  // never stored; the tag is rejected above
           col.values.assign(count, 0);
           break;
       }
@@ -1096,21 +1046,33 @@ bool ColReader::next(DecodedEvent& out) {
     if (!row_passes_filter(row)) continue;
 
     const ShapeDef& shape = shapes_[row.shape];
-    out.ts = row.ts;
-    out.kind = view(shape.kind);
-    out.entity_is_string = shape.entity_kind == kEntityString;
-    if (out.entity_is_string) {
-      out.entity_string = view(static_cast<util::Symbol>(row.entity));
-      out.entity_int = 0;
-    } else {
-      out.entity_int = bits_int(row.entity);
-      out.entity_string = {};
-    }
+    // Reserving for the widest shape keeps every row of a chunk
+    // allocation-free once the first row has been emitted.
     out.fields.clear();
-    out.fields.reserve(shape.fields.size());
+    out.fields.reserve(3 + max_shape_fields_);
+    DecodedEvent::Field f;
+    f.key = "ts";
+    f.type = FieldType::kInt;
+    f.int_v = row.ts;
+    out.fields.push_back(f);
+    f = {};
+    f.key = "kind";
+    f.type = FieldType::kString;
+    f.string_v = view(shape.kind);
+    out.fields.push_back(f);
+    f = {};
+    f.key = "entity";
+    if (shape.entity_kind == kEntityString) {
+      f.type = FieldType::kString;
+      f.string_v = view(static_cast<util::Symbol>(row.entity));
+    } else {
+      f.type = FieldType::kInt;
+      f.int_v = bits_int(row.entity);
+    }
+    out.fields.push_back(f);
     std::size_t value_index = row.value_start;
     for (const auto& [key_sym, type] : shape.fields) {
-      DecodedEvent::Field f;
+      f = {};
       f.key = view(key_sym);
       f.type = static_cast<FieldType>(type);
       const std::uint64_t bits = values_[value_index++];
@@ -1121,7 +1083,8 @@ bool ColReader::next(DecodedEvent& out) {
         case FieldType::kString:
           f.string_v = view(static_cast<util::Symbol>(bits));
           break;
-        case FieldType::kNull: break;
+        case FieldType::kNull:
+        case FieldType::kNested: break;  // never stored
       }
       out.fields.push_back(f);
     }

@@ -2,8 +2,8 @@
 // NDJSON stream, built for out-of-core analysis of campaign telemetry.
 //
 // The NDJSON `obs::EventLog` stream is the wire format the paper-style
-// analyses replay; at the 10M-job scale the ROADMAP targets, slurping
-// that text back through a JSON parser dominates every post-hoc tool.
+// analyses replay; at the 10M-job scale the ROADMAP targets, re-reading
+// that text dominates every post-hoc tool.
 // The colstore keeps the exact same event vocabulary but stores it
 // column-per-field in fixed-size chunks (64k events by default):
 //
@@ -31,8 +31,12 @@
 // (field order, escaping and %.17g doubles preserved), which is what
 // the replay bit-parity tests and `pandarus-events convert` rely on.
 //
-// ColReader is an out-of-core cursor: it holds one chunk's decoded rows
-// at a time (chunked fread, bounded memory) regardless of file size.
+// Both ends speak the flat obs::DecodedEvent record: ColWriter appends
+// one (write_colstore scans each NDJSON line of the log straight into a
+// reused record), and ColReader is an out-of-core cursor that fills one
+// per row — `ts`, `kind`, `entity`, then the row's fields — while
+// holding one chunk's decoded rows at a time (chunked fread, bounded
+// memory) regardless of file size.
 #pragma once
 
 #include <cstdint>
@@ -45,45 +49,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/decoded_event.hpp"
 #include "obs/recover.hpp"
 #include "util/interner.hpp"
-#include "util/json.hpp"
 
 namespace pandarus::obs {
 
 class EventLog;
-
-/// One event decoded from a chunk.  string_views point into the
-/// reader's dictionary and stay valid for the reader's lifetime.
-struct DecodedEvent {
-  enum class FieldType : std::uint8_t {
-    kInt = 0,
-    kDouble = 1,
-    kBool = 2,
-    kString = 3,
-    kNull = 4,
-  };
-  struct Field {
-    std::string_view key;
-    FieldType type = FieldType::kInt;
-    std::int64_t int_v = 0;
-    double double_v = 0.0;
-    bool bool_v = false;
-    std::string_view string_v;
-  };
-
-  std::int64_t ts = 0;
-  std::string_view kind;
-  bool entity_is_string = false;
-  std::int64_t entity_int = 0;
-  std::string_view entity_string;
-  std::vector<Field> fields;
-};
-
-/// Renders the event exactly as the obs::Event builder would have
-/// (canonical ts/kind/entity prefix, same escaping, %.17g doubles) and
-/// appends it to `out` without a trailing newline.
-void append_ndjson(const DecodedEvent& event, std::string& out);
 
 struct ColWriterOptions {
   /// Rows buffered per chunk; the flush granularity and the unit a
@@ -94,9 +66,9 @@ struct ColWriterOptions {
   bool fsync_on_close = false;
 };
 
-/// Streaming encoder.  Accepts flat event objects (`ts` int, `kind`
-/// string, `entity` int-or-string, remaining fields int/double/bool/
-/// string/null); events with nested values are counted as rejected and
+/// Streaming encoder.  Accepts flat events (`ts` int, `kind` string,
+/// `entity` int-or-string, remaining fields int/double/bool/string/
+/// null); events with nested values are counted as rejected and
 /// skipped — the Event builder never produces them.
 class ColWriter {
  public:
@@ -107,9 +79,9 @@ class ColWriter {
 
   /// Appends one event; false (and ++stats().rejected) when the event
   /// does not fit the flat schema.  I/O failures latch error().
-  bool append(const util::json::Value& event);
-  /// Parses one NDJSON line and appends it; malformed lines are
-  /// rejected, not fatal.
+  bool append(const DecodedEvent& event);
+  /// Scans one NDJSON line (scan_ndjson_line) and appends it; malformed
+  /// lines are rejected, not fatal.
   bool append_ndjson_line(std::string_view line);
 
   /// Flushes the tail chunk and closes the file.  Idempotent; returns
@@ -155,6 +127,7 @@ class ColWriter {
   std::unordered_map<std::string, std::uint32_t> shape_ids_;
   std::vector<ShapeDef> shapes_;
   std::size_t shapes_flushed_ = 0;
+  DecodedEvent scanned_;  ///< append_ndjson_line's scan target, reused
 
   // Per-chunk staging, cleared on flush.
   std::vector<std::uint32_t> row_shapes_;
@@ -199,8 +172,11 @@ class ColReader {
   ColReader(const ColReader&) = delete;
   ColReader& operator=(const ColReader&) = delete;
 
-  /// Advances to the next event passing the filter; false at end of
-  /// stream or on error (check ok()).
+  /// Advances to the next event passing the filter and fills `out` with
+  /// its members: `ts`, `kind`, `entity`, then the row's fields.  Keys
+  /// and strings view the reader's dictionary (valid for the reader's
+  /// lifetime).  Within a chunk a reused `out` is filled without
+  /// allocating.  False at end of stream or on error (check ok()).
   bool next(DecodedEvent& out);
 
   [[nodiscard]] bool ok() const noexcept { return error_.empty(); }
@@ -269,6 +245,7 @@ class ColReader {
   std::deque<std::string> dict_;  ///< deque: views stay stable on growth
   std::unordered_map<std::string_view, util::Symbol> dict_lookup_;
   std::vector<ShapeDef> shapes_;
+  std::size_t max_shape_fields_ = 0;  ///< widest shape seen so far
   std::vector<util::Symbol> filter_kind_syms_;
   util::Symbol site_sym_ = util::kNoSymbol;
   util::Symbol src_sym_ = util::kNoSymbol;

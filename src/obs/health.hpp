@@ -35,7 +35,7 @@
 #include <string_view>
 #include <vector>
 
-#include "util/json.hpp"
+#include "obs/decoded_event.hpp"
 
 namespace pandarus::obs {
 
@@ -162,10 +162,11 @@ class HealthEngine {
   void on_breaker(std::int64_t ts, std::int64_t src, std::int64_t dst,
                   bool open);
 
-  /// Canonical stream mapping: routes one parsed event object onto the
-  /// typed feeds above.  Unknown kinds — including `alert` itself — are
-  /// ignored, so feeding a health-on stream cannot self-amplify.
-  void observe_json(const util::json::Value& event);
+  /// Canonical stream mapping: routes one recorded event (scanned
+  /// NDJSON line or colstore row) onto the typed feeds above.  Unknown
+  /// kinds — including `alert` itself — are ignored, so feeding a
+  /// health-on stream cannot self-amplify.
+  void observe_json(const DecodedEvent& event);
 
   // --- snapshots ------------------------------------------------------------
 

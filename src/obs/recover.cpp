@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "obs/colstore.hpp"
-#include "util/json.hpp"
+#include "obs/decoded_event.hpp"
 #include "util/log.hpp"
 
 namespace pandarus::obs {
@@ -81,6 +81,7 @@ bool copy_prefix(const std::string& in_path, const std::string& out_path,
 RecoveryReport salvage_ndjson(std::string_view bytes) {
   RecoveryReport report;
   report.ok = true;
+  DecodedEvent event;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     const std::size_t nl = bytes.find('\n', pos);
@@ -92,10 +93,10 @@ RecoveryReport salvage_ndjson(std::string_view bytes) {
     const std::string_view line = bytes.substr(pos, nl - pos);
     if (!line.empty()) {
       // A torn tail only ever damages the last line, but checking every
-      // kept line costs one replay-equivalent parse and turns mid-file
-      // corruption into a clean truncation instead of a poisoned file.
-      const auto parsed = util::json::parse(line);
-      if (!parsed || parsed->kind != util::json::Value::Kind::kObject) {
+      // kept line with the replay scanner turns mid-file corruption into
+      // a clean truncation instead of a poisoned file, and keeps
+      // "salvageable" and "replayable" one definition.
+      if (!scan_ndjson_line(line, event)) {
         report.truncated = true;
         report.detail = "unparseable line";
         break;

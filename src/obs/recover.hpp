@@ -4,7 +4,8 @@
 // Both sinks are append-only, so a SIGKILL (or power loss) can only
 // damage the tail: the NDJSON file may end mid-line, the colstore file
 // mid-chunk.  Recovery therefore means *truncation to the last intact
-// record boundary* — whole JSON-parseable lines for NDJSON, CRC-valid
+// record boundary* — whole lines that scan as one JSON object (exactly
+// what a replay accepts; see scan_ndjson_line) for NDJSON, CRC-valid
 // chunks for colstore — plus an honest account of what was cut.  The
 // recovered file is a byte-exact prefix of what an uninterrupted run
 // would have produced, which is the invariant checkpoint/resume splices
@@ -28,8 +29,8 @@ struct RecoveryReport {
   std::string detail;                 ///< first damage observed, if any
 };
 
-/// Longest prefix of `bytes` made of whole, JSON-parseable NDJSON
-/// lines.  Pure function of the bytes; never fails (an unreadable blob
+/// Longest prefix of `bytes` made of whole NDJSON lines that each
+/// scan as one JSON object (scan_ndjson_line).  Pure function of the bytes; never fails (an unreadable blob
 /// salvages to an empty prefix).
 [[nodiscard]] RecoveryReport salvage_ndjson(std::string_view bytes);
 

@@ -55,6 +55,7 @@
 #include "grid/site.hpp"
 #include "grid/topology.hpp"
 #include "obs/colstore.hpp"
+#include "obs/decoded_event.hpp"
 #include "obs/env.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"

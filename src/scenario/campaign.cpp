@@ -442,7 +442,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
   }
   phase_span.emplace("campaign/post_process", "scenario");
 
-  result.drained = scheduler.empty();
+  result.drained = scheduler.drained();
   result.transfers_in_flight = engine.in_flight();
   if (injector.has_value()) {
     result.fault_windows = injector->stats().begun;

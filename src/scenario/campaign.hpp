@@ -36,8 +36,9 @@ struct ScenarioResult {
   wms::WorkloadGenerator::Stats workload{};
   std::uint64_t events_processed = 0;
 
-  /// Drain health: whether the scheduler emptied inside the grace
-  /// period, and what the transfer engine still held if it did not.
+  /// Drain health: whether no live event remained after the grace
+  /// period (cancelled entries still queued past the horizon do not
+  /// count), and what the transfer engine still held if one did.
   bool drained = true;
   std::size_t transfers_in_flight = 0;
   /// Fault windows that began during the run (0 on fault-free runs).

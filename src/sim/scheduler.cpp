@@ -41,9 +41,10 @@ Scheduler::Scheduler()
 Scheduler::EventHandle Scheduler::schedule_at(SimTime t, Callback fn) {
   auto state = std::make_shared<EventHandle::State>();
   state->callback = std::move(fn);
-  queue_.push(Entry{std::max(t, now_), next_seq_++, state});
+  heap_.push_back(Entry{std::max(t, now_), next_seq_++, state});
+  std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
   ev_scheduled_->inc();
-  heap_size_->set(static_cast<std::int64_t>(queue_.size()));
+  heap_size_->set(static_cast<std::int64_t>(heap_.size()));
   return EventHandle(std::move(state));
 }
 
@@ -52,10 +53,17 @@ Scheduler::EventHandle Scheduler::schedule_after(SimDuration delay,
   return schedule_at(now_ + std::max<SimDuration>(delay, 0), std::move(fn));
 }
 
+bool Scheduler::drained() const noexcept {
+  return std::all_of(heap_.begin(), heap_.end(), [](const Entry& e) {
+    return e.state->cancelled;
+  });
+}
+
 bool Scheduler::step() {
-  while (!queue_.empty()) {
-    Entry entry = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
+    Entry entry = std::move(heap_.back());
+    heap_.pop_back();
     if (entry.state->cancelled) {
       ev_cancelled_->inc();
       continue;
@@ -66,7 +74,7 @@ bool Scheduler::step() {
     entry.state->callback = nullptr;
     ++processed_;
     ev_fired_->inc();
-    heap_size_->set(static_cast<std::int64_t>(queue_.size()));
+    heap_size_->set(static_cast<std::int64_t>(heap_.size()));
     fn();
     return true;
   }
@@ -81,7 +89,7 @@ void Scheduler::run() {
 
 void Scheduler::run_until(SimTime t) {
   const std::uint64_t fired_before = processed_;
-  while (!queue_.empty() && queue_.top().time <= t) {
+  while (!heap_.empty() && heap_.front().time <= t) {
     if (!step()) break;
   }
   now_ = std::max(now_, t);
@@ -92,7 +100,7 @@ void Scheduler::run_until(SimTime t) {
                          static_cast<std::int64_t>(epoch_))
                   .field("fired", processed_ - fired_before)
                   .field("fired_total", processed_)
-                  .field("heap", static_cast<std::uint64_t>(queue_.size())));
+                  .field("heap", static_cast<std::uint64_t>(heap_.size())));
   }
   ++epoch_;
 }

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -51,7 +50,13 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+  /// No heap entry left at all, cancelled ones included.
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  /// No live event left: every queued entry, if any, was cancelled.
+  /// Cancelled entries are swept only when they reach the top of the
+  /// heap, so one scheduled past the last run_until() horizon keeps
+  /// empty() false on a scheduler with nothing left to fire.  O(queued).
+  [[nodiscard]] bool drained() const noexcept;
   [[nodiscard]] std::uint64_t processed_count() const noexcept {
     return processed_;
   }
@@ -59,7 +64,7 @@ class Scheduler {
   /// the pair (processed, queued) is a cheap deterministic fingerprint
   /// of scheduler progress used by scenario::Checkpoint).
   [[nodiscard]] std::uint64_t queued_count() const noexcept {
-    return queue_.size();
+    return heap_.size();
   }
 
   /// Schedules `fn` at absolute time `t`; times in the past are clamped
@@ -87,8 +92,8 @@ class Scheduler {
   };
   struct EntryCompare {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
-      // std::priority_queue is a max-heap; invert for earliest-first,
-      // breaking ties by insertion sequence.
+      // std::push_heap/pop_heap build a max-heap; invert for
+      // earliest-first, breaking ties by insertion sequence.
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -98,7 +103,10 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t epoch_ = 0;  ///< run_until calls completed (event log)
-  std::priority_queue<Entry, std::vector<Entry>, EntryCompare> queue_;
+  /// Binary heap under EntryCompare (std::push_heap/pop_heap, exactly
+  /// the operations std::priority_queue performs), kept as a plain
+  /// vector so drained() can look at every entry.
+  std::vector<Entry> heap_;
   // Process-wide simulator metrics; the heap gauge is last-writer-wins
   // when several schedulers coexist (e.g. benchmark iterations).
   obs::Counter* ev_scheduled_;

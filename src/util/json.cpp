@@ -7,6 +7,19 @@
 namespace pandarus::util::json {
 namespace {
 
+void append_utf8(std::string& out, unsigned cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -95,45 +108,10 @@ class Parser {
     if (peek() != '"') return false;
     ++pos_;
     while (pos_ < text_.size() && text_[pos_] != '"') {
-      const char c = text_[pos_];
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        switch (text_[pos_]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) return false;
-            unsigned cp = 0;
-            for (int i = 0; i < 4; ++i) {
-              ++pos_;
-              const char h = text_[pos_];
-              cp <<= 4;
-              if (h >= '0' && h <= '9') {
-                cp |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                cp |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                cp |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            append_utf8(out, cp);
-            break;
-          }
-          default: return false;
-        }
-        ++pos_;
+      if (text_[pos_] == '\\') {
+        if (!detail::decode_escape(text_, pos_, &out)) return false;
       } else {
-        out += c;
-        ++pos_;
+        out += text_[pos_++];
       }
     }
     if (pos_ >= text_.size()) return false;
@@ -196,19 +174,6 @@ class Parser {
     return true;
   }
 
-  static void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
   void skip_ws() {
     while (pos_ < text_.size() &&
            (text_[pos_] == ' ' || text_[pos_] == '\n' ||
@@ -226,6 +191,52 @@ class Parser {
 };
 
 }  // namespace
+
+namespace detail {
+
+bool decode_escape(std::string_view text, std::size_t& pos,
+                   std::string* out) {
+  ++pos;  // backslash
+  if (pos >= text.size()) return false;
+  char c = 0;
+  switch (text[pos]) {
+    case '"': c = '"'; break;
+    case '\\': c = '\\'; break;
+    case '/': c = '/'; break;
+    case 'b': c = '\b'; break;
+    case 'f': c = '\f'; break;
+    case 'n': c = '\n'; break;
+    case 'r': c = '\r'; break;
+    case 't': c = '\t'; break;
+    case 'u': {
+      if (pos + 4 >= text.size()) return false;
+      unsigned cp = 0;
+      for (int i = 0; i < 4; ++i) {
+        ++pos;
+        const char h = text[pos];
+        cp <<= 4;
+        if (h >= '0' && h <= '9') {
+          cp |= static_cast<unsigned>(h - '0');
+        } else if (h >= 'a' && h <= 'f') {
+          cp |= static_cast<unsigned>(h - 'a' + 10);
+        } else if (h >= 'A' && h <= 'F') {
+          cp |= static_cast<unsigned>(h - 'A' + 10);
+        } else {
+          return false;
+        }
+      }
+      ++pos;
+      if (out != nullptr) append_utf8(*out, cp);
+      return true;
+    }
+    default: return false;
+  }
+  ++pos;
+  if (out != nullptr) *out += c;
+  return true;
+}
+
+}  // namespace detail
 
 const Value* Value::find(std::string_view key) const noexcept {
   for (const auto& [k, v] : obj) {

@@ -65,4 +65,15 @@ class Value {
 /// std::nullopt on any syntax error or trailing garbage.
 [[nodiscard]] std::optional<Value> parse(std::string_view text);
 
+namespace detail {
+
+/// Decodes the string escape whose backslash is at text[pos] and moves
+/// pos past it, appending the decoded bytes (\uXXXX as UTF-8) to `out`
+/// unless it is null; false on a malformed escape.  parse() and
+/// obs::scan_ndjson_line both decode with it, so they agree byte for
+/// byte.
+bool decode_escape(std::string_view text, std::size_t& pos, std::string* out);
+
+}  // namespace detail
+
 }  // namespace pandarus::util::json

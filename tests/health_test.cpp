@@ -350,10 +350,10 @@ TEST(HealthEngine, ObserveJsonMatchesTypedFeeds) {
   };
   obs::HealthEngine replayed;
   replayed.set_emit_events(false);
+  obs::DecodedEvent event;
   for (const std::string& line : lines) {
-    const auto parsed = util::json::parse(line);
-    ASSERT_TRUE(parsed.has_value()) << line;
-    replayed.observe_json(*parsed);
+    ASSERT_TRUE(obs::scan_ndjson_line(line, event)) << line;
+    replayed.observe_json(event);
   }
   EXPECT_EQ(live.status_json(), replayed.status_json());
 }

@@ -131,6 +131,32 @@ TEST(Scheduler, ProcessedCountSkipsCancelled) {
   EXPECT_EQ(s.processed_count(), 1u);
 }
 
+TEST(Scheduler, CancelledFarFutureEventLeavesSchedulerDrained) {
+  // A campaign drains with run_until(horizon); a cancelled entry timed
+  // past the horizon is never swept, but nothing is left to fire.
+  Scheduler s;
+  s.schedule_at(10, [] {});
+  auto far = s.schedule_at(1'000'000, [] {});
+  far.cancel();
+  s.run_until(100);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.queued_count(), 1u);
+  EXPECT_TRUE(s.drained());
+}
+
+TEST(Scheduler, LiveFarFutureEventIsNotDrained) {
+  Scheduler s;
+  auto cancelled = s.schedule_at(500'000, [] {});
+  s.schedule_at(1'000'000, [] {});
+  cancelled.cancel();
+  s.run_until(100);
+  EXPECT_EQ(s.queued_count(), 2u);
+  EXPECT_FALSE(s.drained());
+  s.run();
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.drained());
+}
+
 TEST(Scheduler, EventsCanRescheduleThemselves) {
   Scheduler s;
   int count = 0;
