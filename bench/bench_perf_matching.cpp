@@ -302,7 +302,6 @@ void BM_HealthDetectors(benchmark::State& state) {
   std::uint64_t observations = 0;
   for (auto _ : state) {
     obs::HealthEngine engine;
-    engine.set_emit_events(false);
     for (int i = 0; i < kTicks; ++i) {
       const std::int64_t ts = 1000 + 1800 * i;
       // Queue depth spikes every 100 ticks; no events are dropped.

@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
                 << '\n';
       return 1;
     }
-    std::cout << "replayed " << replay.lines_parsed << " events ("
-              << replay.flow_events.size() << " flow/transfer rows)\n";
     flows = analysis::rebuild_flows(replay);
+    std::cout << "replayed " << replay.lines_parsed << " events ("
+              << flows.flows.size() << " flows rebuilt)\n";
   }
 
   if (flows.flows.empty()) {

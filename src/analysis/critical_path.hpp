@@ -5,9 +5,9 @@
 //   * analyze_flows(tracker)  — read a live obs::FlowTracker after a
 //     campaign (the online path already ran the decomposition; this
 //     just harvests and ranks);
-//   * rebuild_flows(replay)   — feed the flow/transfer lifecycle rows
-//     captured by analysis::replay_events, in stream order, to a
-//     detached (silent) FlowTracker.  Because the rebuild engine *is*
+//   * rebuild_flows(replay)   — harvest the detached FlowTracker that
+//     analysis::replay_events fed every flow/transfer event, in stream
+//     order (FlowTracker::observe).  Because the rebuild engine *is*
 //     the live analyzer, a replayed stream — NDJSON text or a binary
 //     colstore file, both arrive through analysis::EventSource — yields
 //     bit-identical phase breakdowns, flags and link attributions; the
@@ -66,8 +66,12 @@ struct FlowAnalysis {
     const obs::FlowTracker& tracker,
     std::map<std::int64_t, std::string> site_names = {});
 
-/// Rebuilds flows from a replayed event stream via a detached
-/// FlowTracker fed replay.flow_events in stream order.
+/// The replay's site names keyed by int64 site id (analysis labels).
+[[nodiscard]] std::map<std::int64_t, std::string> wide_site_names(
+    const ReplayResult& replay);
+
+/// Harvests the flows a replay rebuilt (analyze_flows over
+/// replay.flows, labelled with wide_site_names(replay)).
 [[nodiscard]] FlowAnalysis rebuild_flows(const ReplayResult& replay);
 
 /// Fixed-width wait-attribution report: phase quantiles, campaign

@@ -66,66 +66,6 @@ void replay_transfer_record(const obs::DecodedEvent& v, std::int64_t entity,
   store.record_transfer(std::move(t));
 }
 
-using FlowOp = ReplayResult::FlowEventRow::Op;
-
-/// Captures one flow/transfer lifecycle line as a FlowEventRow; returns
-/// false for kinds that are not part of the flow-rebuild vocabulary.
-bool capture_flow_event(std::string_view kind, const obs::DecodedEvent& v,
-                        std::int64_t ts, std::int64_t entity,
-                        std::vector<ReplayResult::FlowEventRow>& rows) {
-  ReplayResult::FlowEventRow row;
-  row.ts = ts;
-  row.entity = entity;
-  if (kind == "flow_begin") {
-    row.op = FlowOp::kFlowBegin;
-    row.task = v.get_int("task", -1);
-    row.attempt = static_cast<std::int32_t>(v.get_int("attempt", 1));
-  } else if (kind == "flow_broker") {
-    row.op = FlowOp::kFlowBroker;
-    row.site = v.get_int("site", -1);
-    row.candidates = v.get_int("candidates", -1);
-  } else if (kind == "flow_stage") {
-    row.op = FlowOp::kFlowStage;
-  } else if (kind == "flow_link") {
-    row.op = FlowOp::kFlowLink;
-    row.transfer = static_cast<std::uint64_t>(v.get_int("transfer"));
-    row.flag = v.get_bool("shared");
-  } else if (kind == "flow_queue") {
-    row.op = FlowOp::kFlowQueue;
-    row.flag = v.get_bool("watchdog");
-  } else if (kind == "flow_run") {
-    row.op = FlowOp::kFlowRun;
-  } else if (kind == "flow_stage_out") {
-    row.op = FlowOp::kFlowStageOut;
-  } else if (kind == "flow_end") {
-    row.op = FlowOp::kFlowEnd;
-    row.flag = v.get_bool("failed");
-    row.error = static_cast<std::int32_t>(v.get_int("error"));
-  } else if (kind == "transfer_submit") {
-    row.op = FlowOp::kTransferSubmit;
-    row.file = v.get_int("file", -1);
-    row.src = v.get_int("src", -1);
-    row.dst = v.get_int("dst", -1);
-  } else if (kind == "transfer_start") {
-    row.op = FlowOp::kTransferStart;
-    row.src = v.get_int("src", -1);
-    row.dst = v.get_int("dst", -1);
-    row.attempt = static_cast<std::int32_t>(v.get_int("attempt", 1));
-  } else if (kind == "transfer_reroute") {
-    row.op = FlowOp::kTransferReroute;
-  } else if (kind == "transfer_retry") {
-    row.op = FlowOp::kTransferRetry;
-  } else if (kind == "transfer_done" || kind == "transfer_fail") {
-    row.op = FlowOp::kTransferTerminal;
-    row.flag = kind == "transfer_done";
-    row.registered = v.get_bool("registered");
-  } else {
-    return false;
-  }
-  rows.push_back(row);
-  return true;
-}
-
 }  // namespace
 
 std::string ReplayResult::site_name(grid::SiteId id) const {
@@ -216,10 +156,10 @@ ReplayResult replay_events(EventSource& source) {
       ls.utilization = v.get_double("utilization");
       result.link_samples.push_back(ls);
     } else {
-      // Flow/transfer lifecycle lines become rebuild rows; the rest
+      // Flow/transfer lifecycle lines drive the flow rebuild; the rest
       // (job_state, rule_*, sched_epoch, ...) are lifecycle telemetry:
       // counted above, not re-simulated.
-      capture_flow_event(kind, v, ts, entity, result.flow_events);
+      result.flows->observe(v);
     }
   }
   result.lines_skipped += source.skipped();

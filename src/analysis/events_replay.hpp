@@ -12,16 +12,20 @@
 //
 // Live lifecycle events (job_state, transfer_submit, sample, ...) are
 // tallied by kind and — for sample / link_sample — decoded into columnar
-// series for the report generator.
+// series for the report generator.  The same pass feeds every event to
+// a detached obs::FlowTracker (FlowTracker::observe), which rebuilds
+// the campaign's causal flows; analysis::rebuild_flows harvests it.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "grid/site.hpp"
+#include "obs/flow.hpp"
 #include "telemetry/store.hpp"
 #include "util/time.hpp"
 
@@ -83,44 +87,14 @@ struct ReplayResult {
   /// by dms::TransferError value (aborted, stalled_terminal, ...).
   std::map<std::int32_t, std::size_t> failure_causes;
 
-  /// Flow/transfer lifecycle hooks captured in stream order: exactly
-  /// the obs::FlowTracker calls the live simulation made, so
-  /// analysis::rebuild_flows can feed them to a detached tracker and
-  /// reproduce the online critical-path analysis verbatim.  flow_* rows
-  /// only exist when the stream was recorded with flows armed;
-  /// transfer_* rows are always present.
-  struct FlowEventRow {
-    enum class Op : std::uint8_t {
-      kFlowBegin,
-      kFlowBroker,
-      kFlowStage,
-      kFlowLink,
-      kFlowQueue,
-      kFlowRun,
-      kFlowStageOut,
-      kFlowEnd,
-      kTransferSubmit,
-      kTransferStart,
-      kTransferReroute,
-      kTransferRetry,
-      kTransferTerminal,
-    };
-    Op op = Op::kFlowBegin;
-    std::int64_t ts = 0;
-    std::int64_t entity = 0;       ///< pandaid (flow ops) / transfer id
-    std::int64_t task = -1;        ///< kFlowBegin
-    std::int64_t site = -1;        ///< kFlowBroker
-    std::int64_t candidates = -1;  ///< kFlowBroker
-    std::uint64_t transfer = 0;    ///< kFlowLink
-    std::int64_t file = -1;        ///< kTransferSubmit
-    std::int64_t src = -1;         ///< kTransferSubmit / kTransferStart
-    std::int64_t dst = -1;
-    std::int32_t attempt = 1;      ///< kFlowBegin / kTransferStart
-    std::int32_t error = 0;        ///< kFlowEnd
-    bool flag = false;  ///< shared / watchdog / failed / success
-    bool registered = false;  ///< kTransferTerminal
-  };
-  std::vector<FlowEventRow> flow_events;
+  /// Detached tracker fed every flow_* / transfer_* event in stream
+  /// order: it holds exactly the state the live tracker held, so
+  /// analysis::rebuild_flows reproduces the online critical-path
+  /// analysis verbatim.  Completed flows only exist when the stream
+  /// was recorded with flows armed.  Never installed, so it emits
+  /// nothing.
+  std::unique_ptr<obs::FlowTracker> flows =
+      std::make_unique<obs::FlowTracker>();
 
   /// The terminal log_stats event the EventLog appends on close():
   /// what the producing process actually wrote and dropped.  A nonzero

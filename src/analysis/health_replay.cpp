@@ -5,7 +5,6 @@ namespace pandarus::analysis {
 std::unique_ptr<obs::HealthEngine> derive_health(EventSource& source,
                                                  obs::HealthConfig config) {
   auto engine = std::make_unique<obs::HealthEngine>(config);
-  engine->set_emit_events(false);
   while (const obs::DecodedEvent* event = source.next()) {
     engine->observe_json(*event);
   }

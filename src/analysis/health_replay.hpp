@@ -16,8 +16,8 @@
 
 namespace pandarus::analysis {
 
-/// Streams `source` to exhaustion into a fresh engine.  Event emission
-/// is disabled on the returned engine, so deriving health from a stream
+/// Streams `source` to exhaustion into a fresh engine.  The engine is
+/// never installed, so it emits nothing: deriving health from a stream
 /// never re-emits that stream's own alerts into an installed EventLog.
 std::unique_ptr<obs::HealthEngine> derive_health(
     EventSource& source, obs::HealthConfig config = {});

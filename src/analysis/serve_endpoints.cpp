@@ -187,15 +187,6 @@ std::string critical_path_json(
   return out;
 }
 
-std::map<std::int64_t, std::string> wide_site_names(
-    const ReplayResult& replay) {
-  std::map<std::int64_t, std::string> names;
-  for (const auto& [id, name] : replay.site_names) {
-    names.emplace(static_cast<std::int64_t>(id), name);
-  }
-  return names;
-}
-
 /// Memoized live snapshot: every /api body except critical-path is
 /// rebuilt only when the EventLog publication watermark moves.
 struct LiveCache {
@@ -312,8 +303,7 @@ void attach_replay_status(obs::StatusServer& server,
   auto series = std::make_shared<const std::string>(
       series_json(*replay, watermark));
   auto critical = std::make_shared<const std::string>(critical_path_json(
-      flows.totals, flows.link_ranking, wide_site_names(*replay), watermark,
-      true));
+      flows.totals, flows.link_ranking, flows.site_names, watermark, true));
   server.set_json_endpoint("/api/summary", [summary] { return *summary; });
   server.set_json_endpoint("/api/tables", [tables] { return *tables; });
   server.set_json_endpoint("/api/series", [series] { return *series; });

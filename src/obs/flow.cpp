@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/decoded_event.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,6 +11,9 @@
 
 namespace pandarus::obs {
 namespace {
+
+/// Retained FlowSummary records (FlowTracker::completed()).
+constexpr std::size_t kMaxSummaries = std::size_t{1} << 20;
 
 /// Link key: (src, dst) packed for the aggregate maps.
 std::uint64_t link_key(std::int64_t src, std::int64_t dst) noexcept {
@@ -61,9 +65,6 @@ struct FlowTracker::Metrics {
 };
 
 std::atomic<FlowTracker*> FlowTracker::g_installed{nullptr};
-
-FlowTracker::FlowTracker(bool emit, std::size_t max_summaries)
-    : emit_(emit), max_summaries_(max_summaries) {}
 
 FlowTracker::~FlowTracker() {
   uninstall();
@@ -143,7 +144,7 @@ void FlowTracker::begin_flow(std::int64_t pandaid, std::int64_t taskid,
   flow.attempt = attempt;
   flow.created_ms = ts;
   open_[pandaid] = std::move(flow);
-  if (emit_) {
+  if (emitting()) {
     if (EventLog* log = EventLog::installed()) {
       log->emit(Event("flow_begin", ts, pandaid)
                     .field("task", taskid)
@@ -165,7 +166,7 @@ void FlowTracker::broker_decision(std::int64_t pandaid, std::int64_t site,
   const auto it = open_.find(pandaid);
   if (it == open_.end()) return;
   it->second.site = site;
-  if (emit_) {
+  if (emitting()) {
     if (EventLog* log = EventLog::installed()) {
       log->emit(Event("flow_broker", ts, pandaid)
                     .field("parent", pandaid)
@@ -180,7 +181,7 @@ void FlowTracker::stage_begin(std::int64_t pandaid, std::int64_t ts) {
   const auto it = open_.find(pandaid);
   if (it == open_.end()) return;
   it->second.stage_begin_ms = ts;
-  if (emit_) {
+  if (emitting()) {
     if (EventLog* log = EventLog::installed()) {
       log->emit(Event("flow_stage", ts, pandaid).field("parent", pandaid));
     }
@@ -199,7 +200,7 @@ void FlowTracker::link_transfer(std::int64_t pandaid,
   if (shared) ++flow.shared_hits;
   const auto tr = transfers_.find(transfer_id);
   if (tr != transfers_.end()) ++tr->second.refs;
-  if (emit_) {
+  if (emitting()) {
     if (EventLog* log = EventLog::installed()) {
       log->emit(Event("flow_link", ts, pandaid)
                     .field("parent", pandaid)
@@ -235,7 +236,7 @@ void FlowTracker::queue_enter(std::int64_t pandaid, std::int64_t ts,
   if (it == open_.end()) return;
   it->second.queued_ms = ts;
   it->second.watchdog_release = watchdog_release;
-  if (emit_) {
+  if (emitting()) {
     if (EventLog* log = EventLog::installed()) {
       log->emit(Event("flow_queue", ts, pandaid)
                     .field("parent", pandaid)
@@ -249,7 +250,7 @@ void FlowTracker::run_begin(std::int64_t pandaid, std::int64_t ts) {
   const auto it = open_.find(pandaid);
   if (it == open_.end()) return;
   it->second.run_ms = ts;
-  if (emit_) {
+  if (emitting()) {
     if (EventLog* log = EventLog::installed()) {
       log->emit(Event("flow_run", ts, pandaid).field("parent", pandaid));
     }
@@ -261,7 +262,7 @@ void FlowTracker::stage_out_begin(std::int64_t pandaid, std::int64_t ts) {
   const auto it = open_.find(pandaid);
   if (it == open_.end()) return;
   it->second.stage_out_ms = ts;
-  if (emit_) {
+  if (emitting()) {
     if (EventLog* log = EventLog::installed()) {
       log->emit(Event("flow_stage_out", ts, pandaid).field("parent", pandaid));
     }
@@ -402,7 +403,7 @@ void FlowTracker::end_flow(std::int64_t pandaid, std::int64_t ts, bool failed,
     site.link_ms[link_key(share.src, share.dst)] += share.ms;
   }
 
-  if (emit_) {
+  if (emitting()) {
     Metrics& m = metrics();
     m.flows.inc();
     if (failed) m.failed.inc();
@@ -467,7 +468,7 @@ void FlowTracker::end_flow(std::int64_t pandaid, std::int64_t ts, bool failed,
 
   for (const std::uint64_t id : flow.stage_in) release_transfer(id);
   for (const std::uint64_t id : flow.post_stage) release_transfer(id);
-  if (completed_.size() < max_summaries_) completed_.push_back(std::move(out));
+  if (completed_.size() < kMaxSummaries) completed_.push_back(std::move(out));
 }
 
 // --- transfer lifecycle ---------------------------------------------------
@@ -486,7 +487,7 @@ void FlowTracker::transfer_submitted(std::uint64_t id, std::int64_t file,
   if (presence.in_flight > 0 || presence.unregistered_success) {
     trace.redundant = true;
     ++totals_.redundant_transfers;
-    if (emit_) metrics().redundant.inc();
+    if (emitting()) metrics().redundant.inc();
   }
   ++presence.in_flight;
   (void)src;  // attempt spans carry the per-attempt source
@@ -523,7 +524,7 @@ void FlowTracker::attempt_end(std::uint64_t id, std::int64_t ts, bool success,
     AttemptSpan& span = trace.attempts.back();
     span.end_ms = ts;
     span.success = success;
-    if (emit_) {
+    if (emitting()) {
       if (TraceRecorder* rec = TraceRecorder::installed()) {
         emit_sim_lane_metadata();
         TraceEvent ev{};
@@ -559,6 +560,53 @@ void FlowTracker::attempt_end(std::uint64_t id, std::int64_t ts, bool success,
     }
   }
   if (trace.refs <= 0) transfers_.erase(it);
+}
+
+void FlowTracker::observe(const DecodedEvent& event) {
+  const std::string_view kind = event.get_string("kind");
+  const DecodedEvent::Field* ts_field = event.find("ts");
+  if (kind.empty() || ts_field == nullptr) return;
+  const std::int64_t ts = ts_field->as_int();
+  const std::int64_t entity = event.get_int("entity");
+  const auto tid = static_cast<std::uint64_t>(entity);
+  if (kind == "flow_begin") {
+    begin_flow(entity, event.get_int("task", -1),
+               static_cast<std::int32_t>(event.get_int("attempt", 1)), ts);
+  } else if (kind == "flow_broker") {
+    // Live order is broker_scored (inside choose_site) then
+    // broker_decision; the flow_broker line carries both.
+    broker_scored(entity, event.get_int("candidates", -1));
+    broker_decision(entity, event.get_int("site", -1), ts);
+  } else if (kind == "flow_stage") {
+    stage_begin(entity, ts);
+  } else if (kind == "flow_link") {
+    link_transfer(entity,
+                  static_cast<std::uint64_t>(event.get_int("transfer")), ts,
+                  event.get_bool("shared"));
+  } else if (kind == "flow_queue") {
+    queue_enter(entity, ts, event.get_bool("watchdog"));
+  } else if (kind == "flow_run") {
+    run_begin(entity, ts);
+  } else if (kind == "flow_stage_out") {
+    stage_out_begin(entity, ts);
+  } else if (kind == "flow_end") {
+    end_flow(entity, ts, event.get_bool("failed"),
+             static_cast<std::int32_t>(event.get_int("error")));
+  } else if (kind == "transfer_submit") {
+    transfer_submitted(tid, event.get_int("file", -1),
+                       event.get_int("src", -1), event.get_int("dst", -1), ts);
+  } else if (kind == "transfer_start") {
+    attempt_start(tid, static_cast<std::uint32_t>(event.get_int("attempt", 1)),
+                  event.get_int("src", -1), event.get_int("dst", -1), ts);
+  } else if (kind == "transfer_reroute") {
+    transfer_rerouted(tid);
+  } else if (kind == "transfer_retry") {
+    attempt_end(tid, ts, /*success=*/false, /*terminal=*/false,
+                /*registered=*/false);
+  } else if (kind == "transfer_done" || kind == "transfer_fail") {
+    attempt_end(tid, ts, kind == "transfer_done", /*terminal=*/true,
+                event.get_bool("registered"));
+  }
 }
 
 void FlowTracker::release_transfer(std::uint64_t id) {

@@ -36,7 +36,14 @@
 // into a Chrome trace use dedicated sim-time lanes (TraceRecorder::
 // kFlowPid / kTransferPid, 1 simulated ms == 1 trace us via
 // obs::to_micros) plus 's'/'f' flow arrows from job lanes to transfer
-// lanes.  See DESIGN.md §13.
+// lanes.
+//
+// Only the installed tracker emits (flow_* events, trace spans,
+// registry metrics).  A detached tracker is the offline rebuild engine:
+// observe() maps each recorded flow_* / transfer_* event back onto the
+// hook that emitted it, so analysis::replay_events reproduces the live
+// analysis from the stream alone and never writes to any sink.  See
+// DESIGN.md §13.
 #pragma once
 
 #include <atomic>
@@ -51,6 +58,7 @@ namespace pandarus::obs {
 
 class Counter;
 class Histogram;
+struct DecodedEvent;
 
 /// The wall-clock partition of one finished job, in simulated ms.
 /// broker + stage_in + queue + run + stage_out == wall, always.
@@ -133,18 +141,13 @@ struct FlowTotals {
 /// Online causal-flow tracker.  Hook methods are called from the
 /// simulation thread via `if (auto* f = FlowTracker::installed())`
 /// guards; a detached tracker (never installed) doubles as the offline
-/// rebuild engine for analysis::critical_path, fed the same calls in
-/// event-stream order.  All hooks take the tracker mutex; disabled
-/// sites never reach it.
+/// rebuild engine, fed the same calls in event-stream order through
+/// observe().  All hooks take the tracker mutex; disabled sites never
+/// reach it.  Hooks mirror to the installed EventLog / TraceRecorder /
+/// Registry only while this tracker is the installed one.
 class FlowTracker {
  public:
-  /// `emit` false builds a silent tracker (replay/rebuild): hooks still
-  /// aggregate but never mirror to the installed EventLog /
-  /// TraceRecorder.  `max_summaries` bounds retained FlowSummary
-  /// records; aggregates keep counting past the bound.
-  explicit FlowTracker(bool emit = true,
-                       std::size_t max_summaries = std::size_t{1} << 20);
-
+  FlowTracker() = default;
   FlowTracker(const FlowTracker&) = delete;
   FlowTracker& operator=(const FlowTracker&) = delete;
   ~FlowTracker();
@@ -190,9 +193,16 @@ class FlowTracker {
   void attempt_end(std::uint64_t id, std::int64_t ts, bool success,
                    bool terminal, bool registered);
 
+  /// Canonical stream mapping: routes one recorded flow_* or
+  /// transfer_* event (scanned NDJSON line or colstore row) onto the
+  /// hook that emitted it.  Events without `kind` or `ts` and every
+  /// other kind are ignored.
+  void observe(const DecodedEvent& event);
+
   // --- results ------------------------------------------------------------
   // Safe once the simulation has quiesced (same contract as
   // EventLog::to_ndjson).
+  /// The first 2^20 finished flows; aggregates keep counting past that.
   [[nodiscard]] const std::vector<FlowSummary>& completed() const {
     return completed_;
   }
@@ -275,13 +285,12 @@ class FlowTracker {
   struct Metrics;  // lazy global-registry bindings
 
   void release_transfer(std::uint64_t id);
+  [[nodiscard]] bool emitting() const noexcept { return installed() == this; }
   Metrics& metrics();
   void emit_sim_lane_metadata();
 
   static std::atomic<FlowTracker*> g_installed;
 
-  const bool emit_;
-  const std::size_t max_summaries_;
   mutable std::mutex mutex_;
   std::unordered_map<std::int64_t, Flow> open_;
   std::unordered_map<std::uint64_t, TransferTrace> transfers_;

@@ -185,7 +185,7 @@ void HealthEngine::transition_locked(Lifecycle& lc, std::int64_t ts,
   }
   transitions_.push_back(std::move(t));
 
-  if (emit_events_) {
+  if (installed() == this) {
     if (EventLog* log = EventLog::installed()) {
       // Sideband: alert lines ride the stream but stay out of its
       // self-accounting, so health-on minus alert lines is bitwise
@@ -390,7 +390,9 @@ void HealthEngine::evaluate_slos_locked(std::int64_t ts) {
 void HealthEngine::export_gauges_locked() {
   // Gauges never touch the event stream, so exporting here is
   // determinism-neutral (same discipline as the campaign's progress
-  // gauges).
+  // gauges).  A detached engine (derive_health, benches) exports
+  // nothing, so it cannot overwrite the installed engine's gauges.
+  if (installed() != this) return;
   Registry& registry = Registry::global();
   std::uint64_t pending = 0;
   std::uint64_t firing = 0;

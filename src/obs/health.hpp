@@ -20,10 +20,13 @@
 //
 // Detectors hold bounded state (EWMA scalars and fixed-width bucket
 // rings), so memory is O(active links + detectors), never O(events).
-// Alert lifecycle is pending → firing → resolved; every transition
-// emits one typed `alert` NDJSON event through the installed EventLog
-// (when emission is enabled), so stripping `alert` lines from a
-// health-on stream restores the health-off bytes exactly.
+// Alert lifecycle is pending → firing → resolved; every transition of
+// the installed engine emits one typed `alert` NDJSON event through the
+// installed EventLog, so stripping `alert` lines from a health-on
+// stream restores the health-off bytes exactly.  Only the installed
+// engine emits (alert events, Registry gauges): a detached engine —
+// the one derive_health() builds — never re-emits a stream's own
+// alerts.
 #pragma once
 
 #include <atomic>
@@ -136,11 +139,6 @@ class HealthEngine {
     return g_installed.load(std::memory_order_acquire);
   }
 
-  /// Alert lifecycle transitions mirror to the installed EventLog as
-  /// `alert` events when enabled (the default).  derive_health()
-  /// disables it so replaying a stream never re-emits its own alerts.
-  void set_emit_events(bool emit) noexcept { emit_events_ = emit; }
-
   // --- typed feeds (live instrumentation sites) -----------------------------
   // All feeds are read-only observers of the simulation: they consume
   // no simulation RNG and schedule nothing, so an armed engine leaves
@@ -250,7 +248,6 @@ class HealthEngine {
   static std::atomic<HealthEngine*> g_installed;
 
   const HealthConfig config_;
-  bool emit_events_ = true;
 
   mutable std::mutex mutex_;
   std::int64_t last_ts_ = INT64_MIN;

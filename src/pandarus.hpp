@@ -71,7 +71,6 @@
 #include "sim/scheduler.hpp"
 #include "telemetry/corruption.hpp"
 #include "telemetry/io.hpp"
-#include "telemetry/query.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/records.hpp"
 #include "telemetry/store.hpp"

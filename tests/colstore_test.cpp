@@ -1,6 +1,7 @@
 // Colstore correctness: byte-exact round trips, corrupt-chunk
 // rejection, footer-index chunk skipping, NDJSON-vs-colstore replay
-// parity on a recorded campaign, and the terminal log_stats event.
+// and flow-rebuild parity on a recorded campaign, and the terminal
+// log_stats event.
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -11,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/critical_path.hpp"
 #include "analysis/event_source.hpp"
 #include "analysis/events_replay.hpp"
 #include "core/relaxed.hpp"
 #include "obs/colstore.hpp"
 #include "obs/event_log.hpp"
+#include "obs/flow.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/config.hpp"
 #include "util/json.hpp"
@@ -33,6 +36,63 @@ class TempFile {
  private:
   std::string path_;
 };
+
+/// Every field of two flow analyses, summaries in order included.
+void expect_same_flows(const analysis::FlowAnalysis& a,
+                       const analysis::FlowAnalysis& b) {
+  EXPECT_EQ(a.totals.flows, b.totals.flows);
+  EXPECT_EQ(a.totals.failed, b.totals.failed);
+  EXPECT_EQ(a.totals.sequential_staging, b.totals.sequential_staging);
+  EXPECT_EQ(a.totals.redundant_transfers, b.totals.redundant_transfers);
+  EXPECT_EQ(a.totals.watchdog_releases, b.totals.watchdog_releases);
+  EXPECT_EQ(a.totals.reroutes, b.totals.reroutes);
+  ASSERT_EQ(a.link_ranking.size(), b.link_ranking.size());
+  for (std::size_t i = 0; i < a.link_ranking.size(); ++i) {
+    EXPECT_EQ(a.link_ranking[i].src, b.link_ranking[i].src);
+    EXPECT_EQ(a.link_ranking[i].dst, b.link_ranking[i].dst);
+    EXPECT_EQ(a.link_ranking[i].critical_ms, b.link_ranking[i].critical_ms);
+    EXPECT_EQ(a.link_ranking[i].flows, b.link_ranking[i].flows);
+  }
+  EXPECT_EQ(a.collapsed, b.collapsed);
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t i = 0; i < a.flows.size(); ++i) {
+    const obs::FlowSummary& x = a.flows[i];
+    const obs::FlowSummary& y = b.flows[i];
+    ASSERT_EQ(x.pandaid, y.pandaid);
+    EXPECT_EQ(x.taskid, y.taskid);
+    EXPECT_EQ(x.site, y.site);
+    EXPECT_EQ(x.attempt, y.attempt);
+    EXPECT_EQ(x.created_ms, y.created_ms);
+    EXPECT_EQ(x.end_ms, y.end_ms);
+    EXPECT_EQ(x.failed, y.failed);
+    EXPECT_EQ(x.error, y.error);
+    EXPECT_EQ(x.watchdog_release, y.watchdog_release);
+    EXPECT_EQ(x.shared_hits, y.shared_hits);
+    const obs::PhaseBreakdown& p = x.phases;
+    const obs::PhaseBreakdown& q = y.phases;
+    EXPECT_EQ(p.broker_ms, q.broker_ms);
+    EXPECT_EQ(p.stage_in_ms, q.stage_in_ms);
+    EXPECT_EQ(p.queue_ms, q.queue_ms);
+    EXPECT_EQ(p.run_ms, q.run_ms);
+    EXPECT_EQ(p.stage_out_ms, q.stage_out_ms);
+    EXPECT_EQ(p.wall_ms, q.wall_ms);
+    EXPECT_EQ(p.stage_in_serialized_ms, q.stage_in_serialized_ms);
+    EXPECT_EQ(p.stage_in_busy_ms, q.stage_in_busy_ms);
+    EXPECT_EQ(p.stage_in_overlap, q.stage_in_overlap);
+    EXPECT_EQ(p.sequential_staging, q.sequential_staging);
+    EXPECT_EQ(p.stage_in_transfers, q.stage_in_transfers);
+    EXPECT_EQ(p.stage_in_attempts, q.stage_in_attempts);
+    EXPECT_EQ(p.reroutes, q.reroutes);
+    EXPECT_EQ(p.redundant_transfers, q.redundant_transfers);
+    EXPECT_EQ(p.unregistered, q.unregistered);
+    ASSERT_EQ(x.link_shares.size(), y.link_shares.size());
+    for (std::size_t l = 0; l < x.link_shares.size(); ++l) {
+      EXPECT_EQ(x.link_shares[l].src, y.link_shares[l].src);
+      EXPECT_EQ(x.link_shares[l].dst, y.link_shares[l].dst);
+      EXPECT_EQ(x.link_shares[l].ms, y.link_shares[l].ms);
+    }
+  }
+}
 
 std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -274,8 +334,11 @@ TEST(ColstoreTest, CampaignReplayParityAndCompression) {
   config.days = 0.25;
   config.seed = 20250401;
   obs::EventLog log;
+  obs::FlowTracker flows;  // the stream carries the flow vocabulary too
   log.install();
+  flows.install();
   const auto live = scenario::run_campaign(config);
+  flows.uninstall();
   log.uninstall();
   log.close();
 
@@ -295,7 +358,6 @@ TEST(ColstoreTest, CampaignReplayParityAndCompression) {
   EXPECT_EQ(from_text.lines_skipped, from_col.lines_skipped);
   EXPECT_EQ(from_text.kind_counts, from_col.kind_counts);
   EXPECT_EQ(from_text.samples.size(), from_col.samples.size());
-  EXPECT_EQ(from_text.flow_events.size(), from_col.flow_events.size());
   EXPECT_TRUE(from_col.log_stats.present);
   EXPECT_EQ(from_col.log_stats.dropped, 0u);
 
@@ -319,6 +381,13 @@ TEST(ColstoreTest, CampaignReplayParityAndCompression) {
             col_tri.rm2.matched_job_count());
   EXPECT_EQ(text_tri.rm2.matched_transfer_count(),
             col_tri.rm2.matched_transfer_count());
+
+  // Both encodings rebuild the same causal flows, field for field.
+  const analysis::FlowAnalysis text_flows = analysis::rebuild_flows(from_text);
+  const analysis::FlowAnalysis col_flows = analysis::rebuild_flows(from_col);
+  ASSERT_GT(text_flows.flows.size(), 0u);
+  EXPECT_EQ(text_flows.flows.size(), flows.completed().size());
+  expect_same_flows(text_flows, col_flows);
 
   // Acceptance: the columnar file is at most 35% of the NDJSON bytes.
   const std::string ndjson_bytes = read_file(ndjson_file.path());

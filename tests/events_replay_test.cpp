@@ -1,11 +1,14 @@
 // Event-log and replay tests: NDJSON round-trip (multi-threaded emit,
 // overflow), sampler/event-stream determinism (a traced run must produce
-// byte-identical NDJSON to an untraced one), and the replay cross-check
-// (analyses on an events-rebuilt store must equal the in-memory ones).
+// byte-identical NDJSON to an untraced one), the replay cross-check
+// (analyses on an events-rebuilt store must equal the in-memory ones),
+// and the silence of the detached observers replay and health
+// derivation drive.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,12 +19,15 @@
 #include "analysis/breakdown.hpp"
 #include "analysis/casestudy.hpp"
 #include "analysis/critical_path.hpp"
+#include "analysis/event_source.hpp"
 #include "analysis/events_replay.hpp"
+#include "analysis/health_replay.hpp"
 #include "analysis/summary.hpp"
 #include "core/relaxed.hpp"
 #include "json_validator.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"
+#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -368,6 +374,15 @@ TEST(EventsFlows, FlowsOnStreamIsFlowsOffStreamPlusFlowLines) {
   }
   EXPECT_GT(flow_lines, 0u);
   EXPECT_EQ(stripped, off);
+
+  // transfer_* events alone open and complete no flow on replay.
+  std::istringstream off_stream(off);
+  const analysis::ReplayResult off_replay =
+      analysis::replay_events(off_stream);
+  EXPECT_GT(off_replay.kind_counts.count("transfer_done"), 0u);
+  EXPECT_TRUE(off_replay.flows->completed().empty());
+  EXPECT_EQ(off_replay.flows->open_flows(), 0u);
+  EXPECT_EQ(off_replay.flows->totals().flows, 0u);
 }
 
 // The offline rebuild engine IS the online analyzer (a detached
@@ -395,7 +410,9 @@ TEST(EventsFlows, RebuiltFlowsMatchLiveTrackerBitForBit) {
 
   std::istringstream stream(log.to_ndjson());
   const analysis::ReplayResult replay = analysis::replay_events(stream);
-  EXPECT_GT(replay.flow_events.size(), 0u);
+  ASSERT_NE(replay.flows, nullptr);
+  EXPECT_EQ(replay.flows->open_flows(), tracker.open_flows());
+  EXPECT_EQ(replay.flows->state_digest(), tracker.state_digest());
   const analysis::FlowAnalysis rebuilt = analysis::rebuild_flows(replay);
 
   ASSERT_EQ(rebuilt.flows.size(), live.flows.size());
@@ -480,6 +497,67 @@ TEST(EventsHarvest, EmitStoreEventsCountsEveryRecord) {
   EXPECT_EQ(telemetry::emit_store_events(store, 99), 2u);
   log.uninstall();
   EXPECT_EQ(log.event_count(), 2u);
+}
+
+// --- detached observers ----------------------------------------------------
+
+// Replay and health derivation drive a detached FlowTracker and a
+// detached HealthEngine over a recorded stream.  Only an installed
+// observer emits, so with an EventLog and a TraceRecorder installed
+// they add no event line and no trace event, and leave the global
+// Registry as they found it.
+TEST(DetachedObservers, ReplayAndHealthDerivationEmitNothing) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.25;
+  config.seed = 20250401;
+  config.faults.intensity = 2.0;
+  config.with_self_healing();
+
+  obs::EventLog recorded;
+  obs::FlowTracker live_flows;
+  obs::HealthEngine live_health;
+  recorded.install();
+  live_flows.install();
+  live_health.install();
+  std::ignore = scenario::run_campaign(config);
+  live_health.uninstall();
+  live_flows.uninstall();
+  recorded.uninstall();
+  recorded.close();
+  const std::string ndjson = recorded.to_ndjson();
+  ASSERT_NE(ndjson.find("\"kind\":\"flow_end\""), std::string::npos);
+  ASSERT_NE(ndjson.find("\"kind\":\"alert\""), std::string::npos);
+
+  // Sentinels the live engine would never export: a detached engine
+  // that exported its gauges would overwrite them.
+  obs::Registry& registry = obs::Registry::global();
+  registry.gauge("pandarus_health_alerts_firing").set(-1);
+  registry.gauge("pandarus_health_alerts_resolved_total").set(-1);
+  const std::string before = obs::export_json(registry.snapshot());
+
+  obs::EventLog sink;
+  obs::TraceRecorder trace;
+  sink.install();
+  trace.install();
+  std::istringstream replay_stream(ndjson);
+  const analysis::ReplayResult replay = analysis::replay_events(replay_stream);
+  std::istringstream health_stream(ndjson);
+  const auto source = analysis::make_ndjson_source(health_stream);
+  const std::unique_ptr<obs::HealthEngine> derived =
+      analysis::derive_health(*source);
+  trace.uninstall();
+  sink.uninstall();
+
+  // The detached observers rebuilt the live state ...
+  EXPECT_EQ(replay.flows->completed().size(), live_flows.completed().size());
+  EXPECT_GT(replay.flows->completed().size(), 0u);
+  EXPECT_EQ(derived->status_json(), live_health.status_json());
+  EXPECT_GT(derived->counts().fired, 0u);
+  // ... and emitted none of it.
+  EXPECT_EQ(sink.to_ndjson(), "");  // alert lines ride sideband
+  EXPECT_EQ(sink.event_count(), 0u);
+  EXPECT_EQ(trace.event_count(), 0u);
+  EXPECT_EQ(obs::export_json(registry.snapshot()), before);
 }
 
 }  // namespace

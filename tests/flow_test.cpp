@@ -3,8 +3,9 @@
 // union/overlap math (pure-sequential flagged, parallel staging not),
 // retry/reroute chains, watchdog clipping of in-flight attempts,
 // redundant-transfer detection, link attribution and its deterministic
-// tie-breaks, collapsed-stack rendering, flow_* event emission, and a
-// campaign-level invariant + determinism check.
+// tie-breaks, collapsed-stack rendering, flow_* event emission, the
+// recorded-event mapping (FlowTracker::observe), and a campaign-level
+// invariant + determinism check.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 
 #include "analysis/critical_path.hpp"
 #include "json_validator.hpp"
+#include "obs/decoded_event.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"
 #include "scenario/campaign.hpp"
@@ -68,7 +70,7 @@ std::int64_t phase_sum(const obs::PhaseBreakdown& ph) {
 // --- critical-path decomposition --------------------------------------------
 
 TEST(FlowCriticalPath, PureSequentialStagingIsFlaggedWithOverlapZero) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder(tracker)
       .begin(1, 0)
       .broker(7, 10);
@@ -117,7 +119,7 @@ TEST(FlowCriticalPath, PureSequentialStagingIsFlaggedWithOverlapZero) {
 }
 
 TEST(FlowCriticalPath, ParallelStagingOverlapsAndChargesLastFinisher) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder fb(tracker);
   fb.begin(2, 0).broker(7, 10);
   tracker.stage_begin(2, 10);
@@ -147,7 +149,7 @@ TEST(FlowCriticalPath, ParallelStagingOverlapsAndChargesLastFinisher) {
 }
 
 TEST(FlowCriticalPath, RetryAndRerouteChainAttributesPerAttemptLink) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   tracker.begin_flow(3, 100, 2, 0);
   tracker.broker_decision(3, 7, 0);
   tracker.stage_begin(3, 0);
@@ -192,7 +194,7 @@ TEST(FlowCriticalPath, RetryAndRerouteChainAttributesPerAttemptLink) {
 }
 
 TEST(FlowCriticalPath, WatchdogReleaseChargesInFlightAttemptToWindowEnd) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   tracker.begin_flow(4, 100, 1, 0);
   tracker.broker_decision(4, 7, 0);
   tracker.stage_begin(4, 0);
@@ -218,7 +220,7 @@ TEST(FlowCriticalPath, WatchdogReleaseChargesInFlightAttemptToWindowEnd) {
 }
 
 TEST(FlowCriticalPath, MissingBoundariesCollapseAndPartitionStaysExact) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   // A job killed before it ever staged: only begin and end exist.
   tracker.begin_flow(5, 100, 1, 100);
   tracker.end_flow(5, 500, /*failed=*/true, /*error=*/42);
@@ -240,7 +242,7 @@ TEST(FlowCriticalPath, MissingBoundariesCollapseAndPartitionStaysExact) {
 // --- redundancy -------------------------------------------------------------
 
 TEST(FlowRedundancy, SecondTransferOfUnregisteredFileIsRedundant) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder fb(tracker);
   fb.begin(6, 0).broker(7, 0);
   tracker.stage_begin(6, 0);
@@ -260,7 +262,7 @@ TEST(FlowRedundancy, SecondTransferOfUnregisteredFileIsRedundant) {
 }
 
 TEST(FlowRedundancy, ConcurrentInFlightDuplicateIsRedundant) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   tracker.begin_flow(7, 100, 1, 0);
   tracker.stage_begin(7, 0);
   tracker.transfer_submitted(71, 900, 2, 7, 0);
@@ -283,7 +285,7 @@ TEST(FlowRedundancy, ConcurrentInFlightDuplicateIsRedundant) {
 // --- collapsed stacks -------------------------------------------------------
 
 TEST(FlowCollapsed, StacksAreLabeledAndDeterministic) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder fb(tracker);
   fb.begin(8, 0).broker(7, 10);
   tracker.stage_begin(8, 10);
@@ -320,7 +322,7 @@ TEST(FlowCollapsed, StacksAreLabeledAndDeterministic) {
 
 TEST(FlowCollapsed, WriteToFullDiskFails) {
   if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder fb(tracker);
   fb.begin(8, 0).broker(7, 10);
   tracker.end_flow(8, 400, false, 0);
@@ -335,7 +337,7 @@ TEST(FlowEmission, FlowEventsReachTheInstalledEventLog) {
   obs::EventLog log;
   log.install();
   {
-    obs::FlowTracker tracker;  // emitting
+    obs::FlowTracker tracker;
     tracker.install();
     ASSERT_EQ(obs::FlowTracker::installed(), &tracker);
     FlowBuilder fb(tracker);
@@ -362,6 +364,118 @@ TEST(FlowEmission, FlowEventsReachTheInstalledEventLog) {
   // flow_end carries the full decomposition.
   EXPECT_NE(ndjson.find("\"wall_ms\":350"), std::string::npos) << ndjson;
   EXPECT_NE(ndjson.find("\"crit_src\":2"), std::string::npos);
+}
+
+// --- recorded-event mapping -------------------------------------------------
+
+void observe_line(obs::FlowTracker& tracker, const std::string& line) {
+  obs::DecodedEvent event;
+  ASSERT_TRUE(obs::scan_ndjson_line(line, event)) << line;
+  tracker.observe(event);
+}
+
+// observe() maps each recorded kind onto the hook that emitted it, so a
+// recorded timeline and the same hook calls leave identical trackers.
+TEST(FlowObserve, RecordedEventsDriveTheSameHooks) {
+  obs::FlowTracker direct;
+  FlowBuilder fb(direct);
+  fb.begin(9, 0).broker(7, 10);
+  direct.stage_begin(9, 10);
+  fb.transfer(91, 500, 2, 7, 10, 110);
+  direct.transfer_submitted(92, 501, 3, 7, 20);
+  direct.link_transfer(9, 92, 20, /*shared=*/true);
+  direct.attempt_start(92, 1, 3, 7, 20);
+  direct.attempt_end(92, 40, false, /*terminal=*/false, false);
+  direct.transfer_rerouted(92);
+  direct.attempt_start(92, 2, 4, 7, 50);
+  direct.attempt_end(92, 90, false, /*terminal=*/true, false);
+  direct.queue_enter(9, 110, /*watchdog_release=*/true);
+  direct.run_begin(9, 200);
+  direct.stage_out_begin(9, 300);
+  direct.end_flow(9, 350, /*failed=*/true, 1305);
+
+  obs::FlowTracker replayed;
+  for (const char* line : {
+           R"({"ts":0,"kind":"flow_begin","entity":9,"task":100,"attempt":1})",
+           R"({"ts":10,"kind":"flow_broker","entity":9,"parent":9,)"
+           R"("site":7,"candidates":5})",
+           R"({"ts":10,"kind":"flow_stage","entity":9,"parent":9})",
+           R"({"ts":10,"kind":"transfer_submit","entity":91,"file":500,)"
+           R"("src":2,"dst":7})",
+           R"({"ts":10,"kind":"flow_link","entity":9,"parent":9,)"
+           R"("transfer":91,"shared":false,"phase":"stage_in"})",
+           R"({"ts":10,"kind":"transfer_start","entity":91,"attempt":1,)"
+           R"("src":2,"dst":7})",
+           R"({"ts":110,"kind":"transfer_done","entity":91,)"
+           R"("registered":true})",
+           R"({"ts":20,"kind":"transfer_submit","entity":92,"file":501,)"
+           R"("src":3,"dst":7})",
+           R"({"ts":20,"kind":"flow_link","entity":9,"parent":9,)"
+           R"("transfer":92,"shared":true,"phase":"stage_in"})",
+           R"({"ts":20,"kind":"transfer_start","entity":92,"attempt":1,)"
+           R"("src":3,"dst":7})",
+           R"({"ts":40,"kind":"transfer_retry","entity":92})",
+           R"({"ts":40,"kind":"transfer_reroute","entity":92})",
+           R"({"ts":50,"kind":"transfer_start","entity":92,"attempt":2,)"
+           R"("src":4,"dst":7})",
+           R"({"ts":90,"kind":"transfer_fail","entity":92,)"
+           R"("registered":false})",
+           R"({"ts":110,"kind":"flow_queue","entity":9,"parent":9,)"
+           R"("watchdog":true})",
+           R"({"ts":200,"kind":"flow_run","entity":9,"parent":9})",
+           R"({"ts":300,"kind":"flow_stage_out","entity":9,"parent":9})",
+           R"({"ts":350,"kind":"flow_end","entity":9,"parent":9,)"
+           R"("failed":true,"error":1305})",
+       }) {
+    observe_line(replayed, line);
+  }
+
+  const obs::FlowSummary& a = only_flow(direct);
+  const obs::FlowSummary& b = only_flow(replayed);
+  EXPECT_EQ(b.taskid, a.taskid);
+  EXPECT_EQ(b.site, a.site);
+  EXPECT_EQ(b.failed, a.failed);
+  EXPECT_EQ(b.error, 1305);
+  EXPECT_TRUE(b.watchdog_release);
+  EXPECT_EQ(b.shared_hits, 1u);
+  EXPECT_EQ(b.phases.wall_ms, a.phases.wall_ms);
+  EXPECT_EQ(b.phases.stage_in_serialized_ms, a.phases.stage_in_serialized_ms);
+  EXPECT_EQ(b.phases.stage_in_attempts, 3u);
+  EXPECT_EQ(b.phases.reroutes, 1u);
+  EXPECT_EQ(b.critical_src(), a.critical_src());
+  EXPECT_EQ(b.critical_ms(), a.critical_ms());
+  EXPECT_EQ(replayed.state_digest(), direct.state_digest());
+  EXPECT_EQ(replayed.to_collapsed(), direct.to_collapsed());
+}
+
+// Every other kind — alerts, job lifecycle, unknown kinds — and events
+// missing `kind` or `ts` leave the tracker untouched.
+TEST(FlowObserve, OtherKindsAndEnvelopeLessEventsAreIgnored) {
+  obs::FlowTracker tracker;
+  observe_line(tracker,
+               R"({"ts":0,"kind":"flow_begin","entity":5,"task":1})");
+  ASSERT_EQ(tracker.open_flows(), 1u);
+  const std::uint64_t digest = tracker.state_digest();
+  for (const char* line : {
+           R"({"ts":10,"kind":"alert","entity":"link:0->1",)"
+           R"("detector":"link_util_spike","phase":"firing"})",
+           R"({"ts":20,"kind":"job_state","entity":5,"state":"running"})",
+           R"({"ts":30,"kind":"no_such_kind","entity":5})",
+           R"({"ts":40,"kind":"transfer_record","entity":5,"src":1})",
+           R"({"kind":"flow_end","entity":5})",
+           R"({"ts":50,"entity":5,"failed":true})",
+           R"({"ts":60,"kind":"","entity":5})",
+       }) {
+    observe_line(tracker, line);
+  }
+  EXPECT_EQ(tracker.state_digest(), digest);
+  EXPECT_EQ(tracker.open_flows(), 1u);
+  EXPECT_TRUE(tracker.completed().empty());
+
+  observe_line(tracker, R"({"ts":70,"kind":"flow_end","entity":5})");
+  EXPECT_EQ(tracker.open_flows(), 0u);
+  ASSERT_EQ(tracker.completed().size(), 1u);
+  EXPECT_EQ(tracker.completed().front().phases.wall_ms, 70);
 }
 
 // --- campaign invariants ----------------------------------------------------
@@ -428,7 +542,7 @@ TEST(FlowCampaign, PhasesPartitionWallAndRunsAreDeterministic) {
 // --- analyzer quantiles -----------------------------------------------------
 
 TEST(FlowQuantiles, PhaseQuantilesCoverEveryPhaseRow) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   for (std::int64_t i = 1; i <= 4; ++i) {
     tracker.begin_flow(i, 100, 1, 0);
     tracker.stage_begin(i, 10 * i);

@@ -349,7 +349,6 @@ TEST(HealthEngine, ObserveJsonMatchesTypedFeeds) {
       R"({"ts":4200,"kind":"job_state","entity":3,"state":"running"})",
   };
   obs::HealthEngine replayed;
-  replayed.set_emit_events(false);
   obs::DecodedEvent event;
   for (const std::string& line : lines) {
     ASSERT_TRUE(obs::scan_ndjson_line(line, event)) << line;
@@ -376,8 +375,10 @@ TEST(HealthEngine, StatusJsonIsWellFormed) {
 
 TEST(HealthEngine, ExportsAlertAndBurnGauges) {
   obs::HealthEngine engine;
+  engine.install();  // only the installed engine exports gauges
   engine.on_link_sample(1000, 4, 5, 2, 1.0);
   engine.on_sample(2000, {}, {});  // gauge export runs on sampler ticks
+  engine.uninstall();
   const auto snapshot = obs::Registry::global().snapshot();
   EXPECT_EQ(snapshot.gauge_value("pandarus_health_alerts_firing"), 1);
   EXPECT_EQ(snapshot.gauge_value("pandarus_health_alerts_resolved_total"), 0);

@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "telemetry/corruption.hpp"
 #include "telemetry/io.hpp"
-#include "telemetry/query.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/store.hpp"
 
@@ -285,47 +285,7 @@ TEST(Corruption, DropChannelsShrinkStores) {
   EXPECT_NEAR(static_cast<double>(report.file_records_dropped), 300.0, 80.0);
 }
 
-TEST(Query, TransferFiltersCompose) {
-  MetadataStore store;
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    TransferRecord t = basic_transfer(i, i % 2 == 0 ? 5 : -1);
-    t.file_size = 1000 * (i + 1);
-    t.destination_site = i % 4 == 0 ? 1u : 2u;
-    t.source_site = 1;
-    t.success = i % 5 != 0;
-    t.activity = i < 10 ? dms::Activity::kAnalysisDownload
-                        : dms::Activity::kDataRebalance;
-    store.record_transfer(t);
-  }
-
-  EXPECT_EQ(TransferQuery(store).count(), 20u);
-  EXPECT_EQ(TransferQuery(store).with_taskid().count(), 10u);
-  EXPECT_EQ(TransferQuery(store)
-                .activity(dms::Activity::kAnalysisDownload)
-                .count(),
-            10u);
-  EXPECT_EQ(TransferQuery(store).to_site(1).local().count(), 5u);
-  // Composition ANDs: downloads with taskid, successful, to site 2.
-  const auto selected = TransferQuery(store)
-                            .activity(dms::Activity::kAnalysisDownload)
-                            .with_taskid()
-                            .successful()
-                            .to_site(2)
-                            .indices();
-  for (std::size_t i : selected) {
-    const auto& t = store.transfers()[i];
-    EXPECT_TRUE(t.has_jeditaskid());
-    EXPECT_TRUE(t.success);
-    EXPECT_EQ(t.destination_site, 2u);
-  }
-  // total_bytes sums only the selection (sizes are 1000..20000; strictly
-  // greater than 18000 leaves {19000, 20000}).
-  EXPECT_EQ(TransferQuery(store).larger_than(18'000).count(), 2u);
-  EXPECT_EQ(TransferQuery(store).larger_than(18'000).total_bytes(),
-            20'000u + 19'000u);
-}
-
-TEST(Query, TimeWindowsMatchStoreHelpers) {
+TEST(Store, TimeWindowsSelectHalfOpenRanges) {
   MetadataStore store;
   for (std::uint64_t i = 0; i < 50; ++i) {
     store.record_transfer(basic_transfer(i));  // starts at i*100
@@ -333,30 +293,20 @@ TEST(Query, TimeWindowsMatchStoreHelpers) {
         basic_job(static_cast<std::int64_t>(i), 5,
                   static_cast<util::SimTime>(i * 100 + 10)));
   }
-  EXPECT_EQ(TransferQuery(store).started_in(0, 1000).indices(),
-            store.transfers_started_in(0, 1000));
-  EXPECT_EQ(JobQuery(store).completed_in(0, 1000).indices(),
-            store.jobs_completed_in(0, 1000));
-}
-
-TEST(Query, JobFiltersAndAggregates) {
-  MetadataStore store;
-  JobRecord ok = basic_job(1, 5, 1000);
-  store.record_job(ok);
-  JobRecord bad = basic_job(2, 5, 2000);
-  bad.failed = true;
-  bad.error_code = 1305;
-  bad.computing_site = 3;
-  store.record_job(bad);
-
-  EXPECT_EQ(JobQuery(store).failed().count(), 1u);
-  EXPECT_EQ(JobQuery(store).failed().with_error(1305).count(), 1u);
-  EXPECT_EQ(JobQuery(store).failed().with_error(1099).count(), 0u);
-  EXPECT_EQ(JobQuery(store).at_site(3).indices(),
-            (std::vector<std::size_t>{1}));
-  // Queuing: ok waits 500, bad waits 1000.
-  EXPECT_EQ(JobQuery(store).total_queuing_time(), 1500);
-  EXPECT_EQ(JobQuery(store).failed().total_queuing_time(), 1000);
+  // [0, 1000): transfers starting 0..900 and jobs ending 10..910.
+  const std::vector<std::size_t> first_ten = {0, 1, 2, 3, 4,
+                                              5, 6, 7, 8, 9};
+  EXPECT_EQ(store.transfers_started_in(0, 1000), first_ten);
+  EXPECT_EQ(store.jobs_completed_in(0, 1000), first_ten);
+  // The upper bound is exclusive: a transfer starting at t1 is out,
+  // and a job ending at t0 is in.
+  EXPECT_EQ(store.transfers_started_in(4900, 5000),
+            (std::vector<std::size_t>{49}));
+  EXPECT_EQ(store.transfers_started_in(4800, 4900),
+            (std::vector<std::size_t>{48}));
+  EXPECT_EQ(store.jobs_completed_in(4910, 4911),
+            (std::vector<std::size_t>{49}));
+  EXPECT_TRUE(store.jobs_completed_in(4911, 10000).empty());
 }
 
 TEST(Io, RoundTripPreservesRecords) {
